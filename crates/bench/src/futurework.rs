@@ -80,8 +80,8 @@ pub struct AsNameCensus {
 pub fn asname_census(stats: &SnapshotStats) -> AsNameCensus {
     let snap = &stats.snapshot;
     let net = &snap.internet;
-    let mut number_suffixes: BTreeSet<String> = BTreeSet::new();
-    let mut name_suffixes: BTreeSet<String> = BTreeSet::new();
+    let mut number_suffixes: BTreeSet<&str> = BTreeSet::new();
+    let mut name_suffixes: BTreeSet<&str> = BTreeSet::new();
     let mut out = AsNameCensus::default();
 
     // Dictionary: brand slug → ASNs of the organization.
@@ -101,10 +101,11 @@ pub fn asname_census(stats: &SnapshotStats) -> AsNameCensus {
     let psl = hoiho_psl::PublicSuffixList::builtin();
     for iface in &net.interfaces {
         let Some(hostname) = iface.hostname.as_deref() else { continue };
-        // Group by the registrable domain, and search only the local
-        // part — the suffix itself contains the *operator's* brand.
-        let Some(suffix) = psl.registrable_domain(hostname) else { continue };
-        let Some(local) = hoiho::label::local_part(hostname, &suffix) else { continue };
+        // Group by the registrable domain (borrowed: netsim names are
+        // lowercase), and search only the local part — the suffix
+        // itself contains the *operator's* brand.
+        let Some(suffix) = psl.registrable_str(hostname) else { continue };
+        let Some(local) = hoiho::label::local_part(hostname, suffix) else { continue };
         let owner = net.routers[iface.router as usize].owner;
         match &iface.embedded {
             hoiho_netsim::internet::EmbeddedInfo::NeighborAsn { .. }

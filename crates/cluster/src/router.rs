@@ -3,16 +3,19 @@
 //!
 //! # Dispatch
 //!
-//! A global routing table maps every model suffix to its owning shard.
-//! A lookup lowercases the hostname once, then routes exactly the way
-//! a single engine dispatches: first by PSL registrable domain, then
-//! by longest-first label suffix. Because the routing table is the
-//! union of all shard indexes, the longest matching suffix globally is
-//! found even when registrable-domain routing misses — fallback
-//! semantics are preserved across shard boundaries, and the shard's own
-//! engine then re-dispatches internally to the same convention (the
-//! longest suffix it holds is the longest in the union, since a longer
-//! one in this shard would also be in the union).
+//! A global routing table maps every model suffix to its owning shard,
+//! compiled together with the PSL rules into one
+//! [`SuffixIndex`](hoiho_psl::SuffixIndex) — the structure a single
+//! engine dispatches through. A lookup lowercases the hostname once and
+//! walks it: the registrable domain's shard when that suffix is keyed,
+//! else the shard of the deepest keyed label suffix. Because the
+//! routing table is the union of all shard indexes, the deepest
+//! matching suffix globally is found even when registrable-domain
+//! routing misses — fallback semantics are preserved across shard
+//! boundaries, and the shard's own engine then re-dispatches internally
+//! to the same convention (the deepest suffix it holds is the deepest
+//! in the union, since a deeper one in this shard would also be in the
+//! union).
 //!
 //! # Cache safety across reloads
 //!
@@ -43,7 +46,7 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
-use hoiho_psl::{label_suffixes, PublicSuffixList};
+use hoiho_psl::{Dispatch, PublicSuffixList, SuffixIndex};
 use hoiho_serve::model::Model;
 use hoiho_serve::server::{Backend, Generation, QueryAnswer};
 use hoiho_serve::Engine;
@@ -172,13 +175,27 @@ impl RouterObs {
     }
 }
 
+/// The routing table: which shard owns each suffix, and the same map
+/// compiled with the PSL rules for one-walk dispatch.
+struct Routing {
+    owners: HashMap<String, u32>,
+    index: SuffixIndex<u32>,
+}
+
+impl Routing {
+    fn new(psl: &PublicSuffixList, owners: HashMap<String, u32>) -> Routing {
+        let index = psl.index(owners.iter().map(|(s, &k)| (s.as_str(), k)));
+        Routing { owners, index }
+    }
+}
+
 /// The suffix-sharded serving tier: shard engines, the routing table,
 /// and the response cache.
 pub struct ShardRouter {
     psl: PublicSuffixList,
     slots: Vec<ShardSlot>,
     /// suffix → owning shard; swapped wholesale on reload.
-    routing: RwLock<Arc<HashMap<String, u32>>>,
+    routing: RwLock<Arc<Routing>>,
     /// Bumped on every reload of any shard; fallback/miss cache tags
     /// record it.
     epoch: AtomicU64,
@@ -238,10 +255,11 @@ impl ShardRouter {
         let suffix_counts: Vec<usize> =
             shard_models.iter().map(|m| m.entries.len()).collect();
         let obs = obs.map(|o| RouterObs::register(o, shard_models.len(), &suffix_counts));
+        let psl = PublicSuffixList::builtin();
         Ok(ShardRouter {
-            psl: PublicSuffixList::builtin(),
+            routing: RwLock::new(Arc::new(Routing::new(&psl, routing))),
+            psl,
             slots,
-            routing: RwLock::new(Arc::new(routing)),
             epoch: AtomicU64::new(0),
             cache: ShardedLru::new(cache_capacity),
             reload_lock: Mutex::new(()),
@@ -387,23 +405,19 @@ impl ShardRouter {
     fn compute(&self, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
         let epoch = self.epoch.load(Ordering::Acquire);
         let routing = Arc::clone(&self.routing.read().unwrap());
-        // Exact: route by registrable domain, as the engine does first.
-        if let Some(rd) = self.psl.registrable_domain(lower) {
-            if let Some(&shard) = routing.get(&rd) {
+        match routing.index.walk(lower).dispatch {
+            Dispatch::Exact(shard) => {
                 let generation =
                     self.slots[shard as usize].generation_no.load(Ordering::Acquire);
                 let answer = self.query_shard(shard, lower, ctx);
-                return (Route::Exact { shard, generation }, answer);
+                (Route::Exact { shard, generation }, answer)
             }
-        }
-        // Fallback: longest label suffix anywhere in the union.
-        for s in label_suffixes(lower) {
-            if let Some(&shard) = routing.get(s) {
+            Dispatch::Fallback(shard) => {
                 let answer = self.query_shard(shard, lower, ctx);
-                return (Route::Fallback { shard, epoch }, answer);
+                (Route::Fallback { shard, epoch }, answer)
             }
+            Dispatch::Miss => (Route::Miss { epoch }, QueryAnswer::MISS),
         }
-        (Route::Miss { epoch }, QueryAnswer::MISS)
     }
 
     /// Dispatches a pre-lowercased hostname to shard `k`'s engine.
@@ -437,7 +451,7 @@ impl ShardRouter {
         let _serialize = self.reload_lock.lock().unwrap();
         let current = Arc::clone(&self.routing.read().unwrap());
         for e in &model.entries {
-            if let Some(&owner) = current.get(&e.suffix) {
+            if let Some(&owner) = current.owners.get(&e.suffix) {
                 if owner != k {
                     return Err(RouterError(format!(
                         "suffix {} is owned by shard {owner}; reload of shard {k} may not \
@@ -452,12 +466,16 @@ impl ShardRouter {
         // Install order per module docs: engine, routing, counters,
         // then eager invalidation.
         *slot.gen.write().unwrap() = Generation::new(engine);
-        let mut next: HashMap<String, u32> =
-            current.iter().filter(|&(_, &s)| s != k).map(|(s, &o)| (s.clone(), o)).collect();
+        let mut next: HashMap<String, u32> = current
+            .owners
+            .iter()
+            .filter(|&(_, &s)| s != k)
+            .map(|(s, &o)| (s.clone(), o))
+            .collect();
         for e in &model.entries {
             next.insert(e.suffix.clone(), k);
         }
-        *self.routing.write().unwrap() = Arc::new(next);
+        *self.routing.write().unwrap() = Arc::new(Routing::new(&self.psl, next));
         slot.generation_no.fetch_add(1, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::Release);
         self.cache.invalidate(|v| !self.route_current(&v.route));
@@ -680,6 +698,52 @@ mod tests {
         }
     }
 
+    /// The router's route kind agrees with the dispatch outcome a
+    /// single engine over the whole model counts, host by host — the
+    /// cases the dispatch order turns on: a keyed registrable domain
+    /// beating a deeper key, deeper and shallower fallbacks, bare
+    /// public suffixes, empty labels, case and trailing dots.
+    #[test]
+    fn route_kind_agrees_with_engine_dispatch_counters() {
+        let mut m = model();
+        m.entries.push(entry("co.nz", &[r"^as(\d+)\."]));
+        m.entries.push(entry("b.com", &[r"^as(\d+)\."]));
+        m.entries.push(entry("net.example.com", &[r"^as(\d+)\."]));
+        let hosts = [
+            "p714.sgw.equinix.com",
+            "P714.SGW.EQUINIX.COM.",
+            "as1.net.example.com",
+            "r1.foo.co.nz",
+            "co.nz",
+            "a..b.com",
+            "as3356.example.net",
+            "nothing.example.org",
+            "com",
+            "",
+        ];
+        let registry = hoiho_obs::Registry::new();
+        let mut single = Engine::new(&m);
+        single.attach_obs(hoiho_serve::engine::EngineObs::register(&registry));
+        let count = |d: &str| {
+            registry.counter("hoiho_engine_extractions_total", &[("dispatch", d)]).get()
+        };
+        for shards in [1u32, 2, 3, 4] {
+            let router = ShardRouter::from_model(&m, shards, 0).unwrap();
+            for h in hosts {
+                let before = ["exact", "fallback", "miss"].map(count);
+                single.extract(h);
+                let after = ["exact", "fallback", "miss"].map(count);
+                let (route, _) = router.compute(&h.to_ascii_lowercase(), &TraceCtx::off());
+                let kind = match route {
+                    Route::Exact { .. } => 0,
+                    Route::Fallback { .. } => 1,
+                    Route::Miss { .. } => 2,
+                };
+                assert_eq!(after[kind], before[kind] + 1, "shards={shards} host={h} {route:?}");
+            }
+        }
+    }
+
     #[test]
     fn cache_hits_counted_and_engine_not_retouched() {
         let router = ShardRouter::from_model(&model(), 2, 64).unwrap();
@@ -703,7 +767,7 @@ mod tests {
     fn reload_invalidates_only_what_it_must() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 64).unwrap();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = router.routing.read().unwrap().owners.clone();
         let nts_shard = routing["nts.ch"];
         // Prime: one exact answer per shard, one miss.
         for h in HOSTS {
@@ -756,7 +820,7 @@ mod tests {
     fn reload_may_not_steal_a_suffix() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 0).unwrap();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = router.routing.read().unwrap().owners.clone();
         let victim = &m.entries[0].suffix;
         let thief = (routing[victim] + 1) % 2;
         let steal = Model { entries: vec![m.entries[0].clone()] };
@@ -775,7 +839,7 @@ mod tests {
         router.reload_shard(0, &fresh).unwrap();
         assert_eq!(router.lookup("as1.fresh.io").asn, Some(1), "new suffix routed after reload");
         // Suffixes previously on shard 0 are gone from routing.
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = router.routing.read().unwrap().owners.clone();
         assert_eq!(routing.values().filter(|&&s| s == 0).count(), 1);
         assert_eq!(router.model_len(), 1 + router.slots[1].gen.read().unwrap().engine.len());
     }
@@ -795,7 +859,7 @@ mod tests {
         let m = model();
         let obs = Arc::new(Obs::new());
         let router = ShardRouter::from_model_obs(&m, 2, 64, Arc::clone(&obs)).unwrap();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = router.routing.read().unwrap().owners.clone();
         let eq = routing["equinix.com"];
         let s = eq.to_string();
         let c = |name: &str, shard: &str| obs.registry().counter(name, &[("shard", shard)]).get();

@@ -15,6 +15,7 @@
 use crate::apparent::apparent_asn;
 use crate::iputil::{embedded_ip_spans, Ipv4};
 use hoiho_psl::PublicSuffixList;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One training observation: an interface with a hostname and the ASN the
@@ -131,18 +132,28 @@ impl TrainingSet {
     /// Groups observations by registrable domain. Hostnames without a
     /// registrable domain (bare public suffixes, malformed names) are
     /// dropped. Groups come back sorted by suffix for determinism.
+    ///
+    /// Groups are keyed by the domain borrowed from each hostname, so
+    /// only each group's suffix `String` is allocated (a hostname set
+    /// through the public field in mixed case is lowercased for its
+    /// key, as [`PublicSuffixList::registrable_domain`] would).
     pub fn by_suffix(&self, psl: &PublicSuffixList) -> Vec<SuffixTraining> {
-        let mut groups: BTreeMap<String, Vec<&Observation>> = BTreeMap::new();
+        let mut groups: BTreeMap<Cow<str>, Vec<&Observation>> = BTreeMap::new();
         for o in &self.obs {
-            if let Some(suffix) = psl.registrable_domain(&o.hostname) {
-                groups.entry(suffix).or_default().push(o);
+            if let Some(suffix) = psl.registrable_str(&o.hostname) {
+                let key = if suffix.bytes().any(|c| c.is_ascii_uppercase()) {
+                    Cow::Owned(suffix.to_ascii_lowercase())
+                } else {
+                    Cow::Borrowed(suffix)
+                };
+                groups.entry(key).or_default().push(o);
             }
         }
         groups
             .into_iter()
             .map(|(suffix, list)| SuffixTraining {
                 hosts: list.iter().map(|o| HostObs::build(o, &suffix)).collect(),
-                suffix,
+                suffix: suffix.into_owned(),
             })
             .collect()
     }

@@ -9,6 +9,7 @@
 //! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |
 //! | scenario | `Scenario::parse`             | canonical render fixpoint                         |
 //! | framing  | server line/`BATCH` framing   | live server vs a framing reference simulation over RNG-fragmented streams |
+//! | psl      | PSL lookup + suffix dispatch  | trie walk vs the flat rule scan, and vs registrable-then-label-suffix key probing |
 //!
 //! A target's `run` takes the *case bytes themselves* (not entropy), so
 //! corpus files are exact-input regressions. Rejection of a malformed
@@ -18,6 +19,7 @@
 mod artifact;
 mod framing;
 mod multimatch;
+mod psl;
 mod regex;
 mod scenario;
 mod shardmap;
@@ -48,6 +50,7 @@ pub fn all_targets() -> Vec<Box<dyn Target>> {
         Box::new(shardmap::ShardMapTarget),
         Box::new(scenario::ScenarioTarget),
         Box::new(framing::FramingTarget::new()),
+        Box::new(psl::PslTarget),
     ]
 }
 

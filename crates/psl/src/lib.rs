@@ -1,17 +1,26 @@
-//! Public suffix list parsing and effective-TLD+1 lookup.
+//! Public suffix list parsing, effective-TLD+1 lookup, and suffix
+//! dispatch.
 //!
 //! Hoiho groups router hostnames by *suffix*: the registrable domain under
 //! which an operator names its routers (the paper, §3, determines suffixes
 //! "using the Mozilla public suffix list"). This crate implements the
 //! [Public Suffix List algorithm](https://publicsuffix.org/list/) — rules,
 //! wildcard rules (`*.ck`), and exception rules (`!www.ck`) — and exposes
-//! the two lookups Hoiho needs:
+//! the lookups Hoiho needs:
 //!
 //! * [`PublicSuffixList::public_suffix`] — the effective TLD of a hostname
 //!   (e.g. `org.nz` for `luckie.org.nz`).
 //! * [`PublicSuffixList::registrable_domain`] — the suffix Hoiho groups by:
 //!   the public suffix plus one label (e.g. `equinix.com` for
-//!   `p714.sgw.equinix.com`).
+//!   `p714.sgw.equinix.com`); [`PublicSuffixList::registrable_str`] is
+//!   the same domain borrowed from the hostname.
+//! * [`PublicSuffixList::index`] — the rules plus a caller's suffix keys
+//!   (a model's conventions, a cluster's routing table) in one
+//!   [`SuffixIndex`], whose [`SuffixIndex::walk`] finds the registrable
+//!   domain and the keyed suffix a hostname dispatches to in one pass.
+//!
+//! Rules and keys live in one reversed-label trie, walked once from the
+//! right over byte offsets without allocating.
 //!
 //! The list snapshot embedded in [`PublicSuffixList::builtin`] covers the
 //! effective TLDs exercised by this reproduction (generic TLDs plus the
@@ -25,21 +34,18 @@
 //! opaque labels.
 
 mod builtin;
+mod trie;
+
+use trie::{Trie, EXCEPTION, NONE, NORMAL, WILDCARD};
 
 /// A parsed public suffix list.
 ///
-/// Rule storage is a flat vector of reversed-label rules; lookups scan per
-/// candidate rule. Hostname suffix determination happens once per hostname
-/// at training-set construction, so simplicity beats a radix tree here.
+/// The rules are compiled into a reversed-label trie: a lookup walks the
+/// hostname once from the right, one hash probe per label, and stops at
+/// the first label no rule reaches below.
 #[derive(Debug, Clone, Default)]
 pub struct PublicSuffixList {
-    /// Normal rules, stored as lowercase label sequences, most-significant
-    /// (TLD) label first. `["nz", "org"]` represents the rule `org.nz`.
-    rules: Vec<Vec<String>>,
-    /// Wildcard rules: `*.ck` stored as `["ck"]` (labels under the star).
-    wildcards: Vec<Vec<String>>,
-    /// Exception rules: `!www.ck` stored as `["ck", "www"]`.
-    exceptions: Vec<Vec<String>>,
+    trie: Trie,
 }
 
 /// Outcome of a suffix lookup on one hostname.
@@ -92,30 +98,28 @@ impl PublicSuffixList {
             }
             self.add_rule(rule);
         }
-        self.rules.sort();
-        self.rules.dedup();
-        self.wildcards.sort();
-        self.wildcards.dedup();
-        self.exceptions.sort();
-        self.exceptions.dedup();
     }
 
-    /// Adds one rule in list syntax (`org.nz`, `*.ck`, `!www.ck`).
+    /// Adds one rule in list syntax (`org.nz`, `*.ck`, `!www.ck`). Rules
+    /// are case-insensitive, trailing dots are ignored, and adding a rule
+    /// twice changes nothing.
     pub fn add_rule(&mut self, rule: &str) {
-        if let Some(exc) = rule.strip_prefix('!') {
-            self.exceptions.push(reverse_labels(exc));
+        let (kind, suffix) = if let Some(exc) = rule.strip_prefix('!') {
+            (EXCEPTION, exc)
         } else if let Some(rest) = rule.strip_prefix("*.") {
-            self.wildcards.push(reverse_labels(rest));
+            (WILDCARD, rest)
         } else if rule == "*" {
-            // The implicit rule; nothing to store.
+            return; // the implicit rule; nothing to store
         } else {
-            self.rules.push(reverse_labels(rule));
-        }
+            (NORMAL, rule)
+        };
+        self.trie.add_rule(suffix.trim_end_matches('.'), kind);
     }
 
-    /// Number of explicit rules loaded (normal + wildcard + exception).
+    /// Number of distinct explicit rules loaded (normal + wildcard +
+    /// exception).
     pub fn len(&self) -> usize {
-        self.rules.len() + self.wildcards.len() + self.exceptions.len()
+        self.trie.rules()
     }
 
     /// True if no explicit rules are loaded.
@@ -126,50 +130,17 @@ impl PublicSuffixList {
     /// Computes the public suffix and registrable domain of `hostname`.
     ///
     /// Returns `None` for hostnames with no labels (empty string, `"."`)
-    /// or with empty labels (`a..b`). The hostname is lowercased and a
-    /// single trailing dot is ignored.
+    /// or with empty labels (`a..b`). The hostname is lowercased and
+    /// trailing dots are ignored.
     pub fn lookup(&self, hostname: &str) -> Option<SuffixMatch> {
-        let name = hostname.trim_end_matches('.').to_ascii_lowercase();
-        if name.is_empty() {
-            return None;
-        }
-        let labels: Vec<&str> = name.split('.').collect();
-        if labels.iter().any(|l| l.is_empty()) {
-            return None;
-        }
-        let rev: Vec<&str> = labels.iter().rev().copied().collect();
-
-        // The prevailing rule is the matching rule with the most labels;
-        // exception rules beat all others. Per the algorithm, an exception
-        // rule's effective suffix drops the exception's leftmost label.
-        let mut suffix_labels = 1; // implicit `*` rule
-        if let Some(n) = longest_match(&self.exceptions, &rev) {
-            // Exception matched in full: suffix is the rule minus one label.
-            suffix_labels = n - 1;
-        } else {
-            if let Some(n) = longest_match(&self.rules, &rev) {
-                suffix_labels = suffix_labels.max(n);
-            }
-            // A wildcard rule `*.ck` (stored as ["ck"]) matches any name
-            // with >= 2 labels whose tail matches; the suffix is one label
-            // longer than the stored part.
-            if let Some(n) = longest_wildcard_match(&self.wildcards, &rev) {
-                suffix_labels = suffix_labels.max(n + 1);
-            }
-        }
-
-        // Exception rules can reduce the count to zero in a pathological
-        // list (`!com`); clamp so every name keeps at least one suffix
-        // label and never more labels than it has.
-        suffix_labels = suffix_labels.clamp(1, labels.len());
-
-        let public_suffix = labels[labels.len() - suffix_labels..].join(".");
-        let registrable = if labels.len() > suffix_labels {
-            Some(labels[labels.len() - suffix_labels - 1..].join("."))
-        } else {
-            None
-        };
-        Some(SuffixMatch { suffix_labels, public_suffix, registrable })
+        let (suffix_labels, registrable) = self.trie.walk(hostname).psl?;
+        let name = hostname.trim_end_matches('.');
+        let start = name.rmatch_indices('.').nth(suffix_labels - 1).map_or(0, |(i, _)| i + 1);
+        Some(SuffixMatch {
+            suffix_labels,
+            public_suffix: name[start..].to_ascii_lowercase(),
+            registrable: registrable.map(str::to_ascii_lowercase),
+        })
     }
 
     /// The public suffix (effective TLD) of `hostname`, if it has labels.
@@ -179,84 +150,103 @@ impl PublicSuffixList {
 
     /// The registrable domain — public suffix plus one label. This is the
     /// "suffix" Hoiho groups hostnames by. `None` when the hostname is
-    /// itself a public suffix (e.g. `com`) or unparsable.
+    /// itself a public suffix (e.g. `com`) or unparsable. The returned
+    /// `String` (lowercased) is the only allocation.
     pub fn registrable_domain(&self, hostname: &str) -> Option<String> {
-        self.lookup(hostname).and_then(|m| m.registrable)
+        self.registrable_str(hostname).map(str::to_ascii_lowercase)
     }
 
-    /// The keys to probe a suffix-keyed index with, in priority order:
-    /// the PSL registrable domain first (the key the learner groups
-    /// by), then every label-boundary suffix longest-first (so a model
-    /// keyed deeper than — or, under PSL drift, differently from — the
-    /// registrable domain is still reachable, deepest suffix winning).
-    ///
-    /// `lower` must already be lowercased; the yielded keys are then
-    /// lowercase too. Both the serving engine and the cluster router
-    /// dispatch through this, which is what keeps their suffix choice
-    /// identical for any hostname.
-    pub fn dispatch_keys<'n>(
-        &self,
-        lower: &'n str,
-    ) -> impl Iterator<Item = std::borrow::Cow<'n, str>> {
-        let rd = self.registrable_domain(lower).map(std::borrow::Cow::Owned);
-        rd.into_iter().chain(label_suffixes(lower).map(std::borrow::Cow::Borrowed))
+    /// [`Self::registrable_domain`] borrowed from `hostname` itself:
+    /// the same labels, in `hostname`'s own case, without its trailing
+    /// dots. Allocates nothing.
+    pub fn registrable_str<'n>(&self, hostname: &'n str) -> Option<&'n str> {
+        self.trie.walk(hostname).psl?.1
+    }
+
+    /// Compiles this list plus `keys` — the suffixes a caller dispatches
+    /// on, each with its value — into one [`SuffixIndex`]. A repeated key
+    /// keeps its last value. Keys match label suffixes verbatim, so a
+    /// key containing an ASCII uppercase letter can never match the
+    /// lowercased names [`SuffixIndex::walk`] takes, and is left out.
+    pub fn index<'k, V>(&self, keys: impl IntoIterator<Item = (&'k str, V)>) -> SuffixIndex<V> {
+        let mut trie = self.trie.clone();
+        let mut values = Vec::new();
+        for (key, value) in keys {
+            if key.bytes().any(|c| c.is_ascii_uppercase()) {
+                continue;
+            }
+            let slot = trie.key_mut(key);
+            match *slot {
+                NONE => {
+                    *slot = values.len() as u32;
+                    values.push(value);
+                }
+                k => values[k as usize] = value,
+            }
+        }
+        SuffixIndex { trie, values }
     }
 }
 
-/// Iterates the suffixes of `hostname` at label boundaries, longest
-/// (the whole name) first: `a.b.c` → `a.b.c`, `b.c`, `c`.
-///
-/// Serving-side dispatch uses this to probe a suffix-keyed index when
-/// the PSL-derived registrable domain misses — a model may key a suffix
-/// deeper than (or, with a different PSL snapshot, different from) the
-/// registrable domain the local list computes. A trailing dot is
-/// ignored; the empty hostname yields nothing.
-pub fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
-    let name = hostname.trim_end_matches('.');
-    let whole = (!name.is_empty()).then_some(name);
-    whole.into_iter().chain(
-        name.char_indices()
-            .filter(|&(_, c)| c == '.')
-            .map(move |(i, _)| &name[i + 1..])
-            .filter(|s| !s.is_empty()),
-    )
+/// A public suffix list plus a caller's suffix keys, compiled into one
+/// reversed-label trie (see [`PublicSuffixList::index`]).
+#[derive(Debug, Clone)]
+pub struct SuffixIndex<V> {
+    trie: Trie,
+    values: Vec<V>,
 }
 
-/// Splits a rule into lowercase labels, most-significant first.
-fn reverse_labels(rule: &str) -> Vec<String> {
-    rule.trim_end_matches('.')
-        .split('.')
-        .rev()
-        .map(|l| l.to_ascii_lowercase())
-        .collect()
+/// Which key a hostname dispatches to, in first-match order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch<V> {
+    /// The registrable domain itself is keyed.
+    Exact(V),
+    /// The registrable domain is not keyed (or the name has none); this
+    /// is the deepest keyed label suffix.
+    Fallback(V),
+    /// No label suffix is keyed.
+    Miss,
 }
 
-/// Length in labels of the longest rule fully matching the reversed name,
-/// or `None`.
-fn longest_match(rules: &[Vec<String>], rev_name: &[&str]) -> Option<usize> {
-    let mut best = None;
-    for rule in rules {
-        if rule.len() <= rev_name.len()
-            && rule.iter().zip(rev_name).all(|(a, b)| a == b)
-        {
-            best = best.max(Some(rule.len()));
+impl<V> Dispatch<V> {
+    /// The dispatched value, exact or fallback.
+    pub fn value(self) -> Option<V> {
+        match self {
+            Dispatch::Exact(v) | Dispatch::Fallback(v) => Some(v),
+            Dispatch::Miss => None,
         }
     }
-    best
 }
 
-/// Length in labels of the longest wildcard *tail* matching the reversed
-/// name with at least one extra label available for the star.
-fn longest_wildcard_match(rules: &[Vec<String>], rev_name: &[&str]) -> Option<usize> {
-    let mut best = None;
-    for rule in rules {
-        if rule.len() < rev_name.len()
-            && rule.iter().zip(rev_name).all(|(a, b)| a == b)
-        {
-            best = best.max(Some(rule.len()));
-        }
+/// What one [`SuffixIndex::walk`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk<'n, V> {
+    /// The registrable domain, a slice of the walked name (as
+    /// [`PublicSuffixList::registrable_str`]).
+    pub registrable: Option<&'n str>,
+    /// The dispatch outcome.
+    pub dispatch: Dispatch<V>,
+}
+
+impl<V: Copy> SuffixIndex<V> {
+    /// Walks `lower` (an already-lowercased hostname; trailing dots are
+    /// ignored) once from the right. The dispatch order is the
+    /// registrable domain first, then every label suffix longest-first
+    /// — the whole name, then each suffix after a dot, empty labels
+    /// included — so a key deeper than the registrable domain, or one
+    /// a different PSL snapshot would have chosen, is still reached.
+    pub fn walk<'n>(&self, lower: &'n str) -> Walk<'n, V> {
+        let found = self.trie.walk(lower);
+        let value = |k: u32| self.values[k as usize];
+        let dispatch = if found.exact != NONE {
+            Dispatch::Exact(value(found.exact))
+        } else if found.deepest != NONE {
+            Dispatch::Fallback(value(found.deepest))
+        } else {
+            Dispatch::Miss
+        };
+        Walk { registrable: found.psl.and_then(|p| p.1), dispatch }
     }
-    best
 }
 
 #[cfg(test)]
@@ -267,29 +257,68 @@ mod tests {
         PublicSuffixList::builtin()
     }
 
-    #[test]
-    fn label_suffixes_longest_first() {
-        let got: Vec<&str> = label_suffixes("p714.sgw.equinix.com").collect();
-        assert_eq!(got, ["p714.sgw.equinix.com", "sgw.equinix.com", "equinix.com", "com"]);
-        assert_eq!(label_suffixes("com").collect::<Vec<_>>(), ["com"]);
-        assert_eq!(label_suffixes("").count(), 0);
-        // Trailing dot ignored; empty tail labels skipped.
-        assert_eq!(label_suffixes("a.b.").collect::<Vec<_>>(), ["a.b", "b"]);
+    fn walk<'n>(ix: &SuffixIndex<&'static str>, h: &'n str) -> (Option<&'n str>, Dispatch<&'static str>) {
+        let w = ix.walk(h);
+        (w.registrable, w.dispatch)
     }
 
     #[test]
-    fn dispatch_keys_registrable_first_then_longest_suffixes() {
-        let p = psl();
-        let got: Vec<String> =
-            p.dispatch_keys("p714.sgw.equinix.com").map(|c| c.into_owned()).collect();
+    fn walk_dispatches_registrable_first_then_deepest_suffix() {
+        use Dispatch::*;
+        let keys = ["equinix.com", "sgw.equinix.com", "net.example.com", "b.com", "co.nz"];
+        let ix = psl().index(keys.iter().map(|k| (*k, *k)));
+        // A keyed registrable domain beats a deeper key.
+        assert_eq!(walk(&ix, "p1.sgw.equinix.com"), (Some("equinix.com"), Exact("equinix.com")));
+        // Unkeyed registrable domain: the deeper key, or a shallower one.
         assert_eq!(
-            got,
-            ["equinix.com", "p714.sgw.equinix.com", "sgw.equinix.com", "equinix.com", "com"]
+            walk(&ix, "as1.net.example.com"),
+            (Some("example.com"), Fallback("net.example.com"))
         );
-        // A public suffix alone has no registrable domain: only the
-        // label-suffix probes remain.
-        assert_eq!(p.dispatch_keys("com").map(|c| c.into_owned()).collect::<Vec<_>>(), ["com"]);
-        assert_eq!(p.dispatch_keys("").count(), 0);
+        assert_eq!(walk(&ix, "r1.foo.co.nz"), (Some("foo.co.nz"), Fallback("co.nz")));
+        // A bare public suffix has no registrable domain but is probed.
+        assert_eq!(walk(&ix, "co.nz"), (None, Fallback("co.nz")));
+        // Empty labels: no registrable domain, yet `b.com` is reached.
+        assert_eq!(walk(&ix, "a..b.com"), (None, Fallback("b.com")));
+        // Trailing dots are ignored.
+        assert_eq!(walk(&ix, "x.b.com.."), (Some("b.com"), Exact("b.com")));
+        assert_eq!(walk(&ix, "core1.example.org"), (Some("example.org"), Miss));
+        assert_eq!(walk(&ix, ""), (None, Miss));
+        assert_eq!(walk(&ix, "."), (None, Miss));
+    }
+
+    #[test]
+    fn walk_keys_with_empty_labels_or_uppercase() {
+        use Dispatch::*;
+        let ix = psl().index([("a..b.org", "empty"), ("B.org", "upper"), ("", "blank")]);
+        assert_eq!(walk(&ix, "x.a..b.org"), (None, Fallback("empty")));
+        assert_eq!(walk(&ix, "a..b.org"), (None, Fallback("empty")));
+        assert_eq!(walk(&ix, "x.b.org"), (Some("b.org"), Miss));
+        assert_eq!(walk(&ix, "x.org"), (Some("x.org"), Miss));
+        // A repeated key keeps its last value.
+        let ix = psl().index([("b.org", "first"), ("b.org", "last")]);
+        assert_eq!(walk(&ix, "x.b.org"), (Some("b.org"), Exact("last")));
+    }
+
+    #[test]
+    fn walk_under_wildcard_and_exception_rules() {
+        use Dispatch::*;
+        let p = PublicSuffixList::parse("*.ck\n!www.ck\n");
+        let ix = p.index([("foo.bar.ck", 1), ("bar.ck", 2), ("www.ck", 3)]);
+        let d = |h| ix.walk(h).dispatch.value();
+        assert_eq!(ix.walk("r1.foo.bar.ck").dispatch, Exact(1));
+        assert_eq!(ix.walk("x.bar.ck").dispatch, Fallback(2));
+        assert_eq!(ix.walk("r1.www.ck").dispatch, Exact(3));
+        assert_eq!(ix.walk("r1.www.ck").registrable, Some("www.ck"));
+        assert_eq!(d("bar.ck"), Some(2));
+        assert_eq!(d("ck"), None);
+    }
+
+    #[test]
+    fn registrable_str_borrows_in_the_hostnames_case() {
+        let p = psl();
+        assert_eq!(p.registrable_str("P714.SGW.Equinix.COM."), Some("Equinix.COM"));
+        assert_eq!(p.registrable_str("a..b.com"), None);
+        assert_eq!(p.registrable_str("org.nz"), None);
     }
 
     #[test]
@@ -417,6 +446,55 @@ mod tests {
         let mut p = PublicSuffixList::parse("org.nz\n");
         p.extend_from_str("org.nz\nco.nz\n");
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn uppercase_and_trailing_dots_normalised_in_every_lookup() {
+        let p = psl();
+        let m = p.lookup("AS1.Foo.ORG.NZ.").unwrap();
+        assert_eq!(m.suffix_labels, 2);
+        assert_eq!(m.public_suffix, "org.nz");
+        assert_eq!(m.registrable.as_deref(), Some("foo.org.nz"));
+        // Every trailing dot is trimmed, not just one.
+        assert_eq!(p.registrable_domain("x.Example.COM..").as_deref(), Some("example.com"));
+        assert_eq!(p.lookup("COM."), p.lookup("com"));
+    }
+
+    #[test]
+    fn empty_labels_anywhere_have_no_registrable_domain() {
+        let p = psl();
+        for h in ["a..b.com", ".b.com", "x.y..equinix.com", "..com"] {
+            assert_eq!(p.lookup(h), None, "{h}");
+            assert_eq!(p.registrable_domain(h), None, "{h}");
+        }
+    }
+
+    #[test]
+    fn wildcard_and_exception_bare_suffixes() {
+        let mut p = PublicSuffixList::new();
+        p.extend_from_str("*.ck\n!www.ck\n");
+        // A bare wildcard match is itself a public suffix.
+        assert_eq!(p.registrable_domain("anything.ck"), None);
+        assert_eq!(p.lookup("anything.ck").unwrap().suffix_labels, 2);
+        // The wildcard needs a label for its star: `ck` alone falls to
+        // the implicit rule.
+        assert_eq!(p.public_suffix("ck").as_deref(), Some("ck"));
+        assert_eq!(p.registrable_domain("ck"), None);
+        // The exception beats the wildcard, in any case.
+        assert_eq!(p.registrable_domain("R1.WWW.CK").as_deref(), Some("www.ck"));
+    }
+
+    #[test]
+    fn exception_deeper_than_longest_rule_and_pathological_exception() {
+        let mut p = PublicSuffixList::new();
+        p.extend_from_str("jp\n*.kobe.jp\n!city.kobe.jp\n");
+        assert_eq!(p.public_suffix("a.b.city.kobe.jp").as_deref(), Some("kobe.jp"));
+        assert_eq!(p.registrable_domain("a.b.city.kobe.jp").as_deref(), Some("city.kobe.jp"));
+        assert_eq!(p.registrable_domain("a.b.other.kobe.jp").as_deref(), Some("b.other.kobe.jp"));
+        // `!com` would leave no suffix label; the count clamps to one.
+        let q = PublicSuffixList::parse("!com\n");
+        let m = q.lookup("x.com").unwrap();
+        assert_eq!((m.suffix_labels, m.registrable.as_deref()), (1, Some("x.com")));
     }
 
     #[test]

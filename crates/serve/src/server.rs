@@ -1983,35 +1983,29 @@ mod tests {
     fn non_reading_pipeliner_is_disconnected_at_the_out_cap() {
         let srv = start(&model("example.com", r"^as(\d+)\.example\.com$"), 1);
         let mut s = TcpStream::connect(srv.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // Each ~32 KiB miss echoes back at roughly the same size;
-        // pipeline several times MAX_PENDING_OUT without reading a
-        // byte. The server must sever the connection at the cap rather
-        // than buffer it all.
+        // Each ~32 KiB miss echoes back at roughly the same size.
+        // Pipeline without reading a byte until the server severs the
+        // connection. The kernel socket buffers of both ends absorb
+        // some responses first — how many depends on the host's TCP
+        // tuning — then the server's own pending output passes
+        // MAX_PENDING_OUT and it must cut the peer off rather than
+        // buffer the rest. The bound only keeps a broken cap from
+        // running forever.
+        const BOUND: usize = 1 << 30;
         let line = format!("{}.example.org\n", "a".repeat(32 * 1024));
-        for _ in 0..(3 * MAX_PENDING_OUT / line.len()) {
-            if s.write_all(line.as_bytes()).is_err() {
-                break; // already cut off — that's the point
-            }
+        let mut sent = 0usize;
+        while s.write_all(line.as_bytes()).is_ok() {
+            sent += line.len();
+            assert!(sent < BOUND, "server never cut off a client that sent {sent} bytes unread");
         }
-        let mut drained = 0usize;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match s.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => drained += n,
-            }
-        }
-        assert!(
-            drained < 2 * MAX_PENDING_OUT,
-            "server buffered {drained} response bytes for a non-reading client"
-        );
-        // The violation is counted (poll: the close races us).
+        // The server closed the connection itself and counted the
+        // violation once (poll: the count races our write error).
         let t0 = Instant::now();
         while srv.stats().errors == 0 {
             assert!(t0.elapsed() < Duration::from_secs(5), "cap violation never counted");
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert_eq!(srv.stats().errors, 1);
         srv.shutdown();
     }
 

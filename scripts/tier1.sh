@@ -3,7 +3,9 @@
 #   1. The hermetic-dependency check (manifests are path-only).
 #   2. A clean offline release build of the whole workspace, including
 #      every example and binary.
-#   3. The full test suite, offline, then the multi-matcher equivalence
+#   3. The full test suite, offline, then the suites of the crates the
+#      root package does not cover (hoiho-psl, hoiho-serve,
+#      hoiho-cluster, hoiho-fuzz), then the multi-matcher equivalence
 #      gate by name: fixed-seed `learn_all` output must be byte-identical
 #      with Aho–Corasick literal dispatch on (default) and off (the
 #      per-regex column build kept as the oracle).
@@ -40,8 +42,8 @@
 #      SCENARIOS.json via bench_diff.sh --quality.
 #  11. A fuzz-tier smoke: replay the committed `fuzz/corpus/` through
 #      every target's oracle, then a short fixed-seed fuzz run across
-#      all five targets (regex, artifact, shardmap, scenario, framing)
-#      that must find nothing.
+#      all seven targets (regex, multimatch, artifact, shardmap,
+#      scenario, framing, psl) that must find nothing.
 #  12. A fault-injection smoke over the live cluster server: loadgen
 #      with --chaos 0.2 must terminate, report its error rate, and
 #      leave the server answering normally.
@@ -56,6 +58,7 @@ cd "$(dirname "$0")/.."
 ./scripts/no-external-deps.sh
 cargo build --release --offline --workspace --examples --bins
 cargo test -q --offline
+cargo test -q --offline -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz
 
 # --- multi-matcher equivalence gate: dispatch on vs off, by name, so a
 # filter typo in the suite can never silently drop it ---
