@@ -9,13 +9,15 @@
 
 use crate::InferenceInput;
 use hoiho_asdb::{Addr, Asn};
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense router index in a [`RouterGraph`].
 pub type RouterIdx = usize;
 
 /// One router node with its topological annotations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterNode {
     /// Interface addresses grouped into this router.
     pub interfaces: Vec<Addr>,
@@ -33,7 +35,7 @@ pub struct RouterNode {
 }
 
 /// The assembled router graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterGraph {
     /// Router nodes.
     pub routers: Vec<RouterNode>,
@@ -41,84 +43,123 @@ pub struct RouterGraph {
     pub by_addr: BTreeMap<Addr, RouterIdx>,
 }
 
+/// What the build knows about one address: its router, and its BGP
+/// origin once some edge needed it.
+struct AddrInfo {
+    router: RouterIdx,
+    origin: Option<Option<Asn>>,
+}
+
+/// Hashes an address with one multiply; the keys are simulated IPv4
+/// addresses, so no keyed hash is needed.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 impl RouterGraph {
     /// Builds the graph from inference input.
     pub fn build(input: &InferenceInput) -> RouterGraph {
-        let mut g = RouterGraph::default();
+        let mut routers: Vec<RouterNode> = Vec::new();
+        let mut addrs: HashMap<Addr, AddrInfo, BuildHasherDefault<AddrHasher>> =
+            HashMap::default();
 
         // Seed routers from alias sets.
         for set in &input.aliases {
             if set.is_empty() {
                 continue;
             }
-            let idx = g.routers.len();
+            let router = routers.len();
             let mut node = RouterNode::default();
             for &a in set {
-                // First alias set naming an address wins; alias sets are
-                // expected to be disjoint.
-                if g.by_addr.insert(a, idx).is_none() {
-                    node.interfaces.push(a);
+                // Alias sets are expected to be disjoint. An address in
+                // several stays an interface of the first set's router
+                // but maps to the last set's.
+                match addrs.entry(a) {
+                    Entry::Vacant(e) => {
+                        e.insert(AddrInfo { router, origin: None });
+                        node.interfaces.push(a);
+                    }
+                    Entry::Occupied(mut e) => e.get_mut().router = router,
                 }
             }
-            g.routers.push(node);
+            routers.push(node);
         }
 
         // Walk traces: create singleton routers for unknown addresses,
         // accumulate annotations.
+        let mut marked: Vec<RouterIdx> = Vec::new();
+        // Traces to one destination run consecutively, so one cached
+        // lookup serves them all.
+        let mut dst_origin: Option<(Addr, Option<Asn>)> = None;
         for trace in &input.traces {
-            let dst_origin = input.origin(trace.dst);
-            // Indices of responsive hops.
-            let hops: Vec<(usize, Addr)> = trace
-                .hops
-                .iter()
-                .enumerate()
-                .filter_map(|(i, h)| h.map(|a| (i, a)))
-                .collect();
+            let dst = match dst_origin {
+                Some((a, o)) if a == trace.dst => o,
+                _ => {
+                    let o = input.origin(trace.dst);
+                    dst_origin = Some((trace.dst, o));
+                    o
+                }
+            };
+            let reached = trace.hops.iter().rev().flatten().next() == Some(&trace.dst);
+            marked.clear();
+            // (position, router) of the previous responsive hop.
             let mut prev: Option<(usize, RouterIdx)> = None;
-            let reached = hops.last().is_some_and(|&(_, a)| a == trace.dst);
-            let mut dest_marked: BTreeSet<RouterIdx> = BTreeSet::new();
-            for &(pos, addr) in &hops {
-                let idx = g.router_for(addr);
+            for (pos, hop) in trace.hops.iter().enumerate() {
+                let Some(addr) = *hop else { continue };
+                let info = addrs.entry(addr).or_insert_with(|| {
+                    routers.push(RouterNode { interfaces: vec![addr], ..RouterNode::default() });
+                    AddrInfo { router: routers.len() - 1, origin: None }
+                });
+                let idx = info.router;
                 // Destination annotation: every router on the way to the
                 // destination learns the destination origin once per
                 // trace, except the destination's own responding node.
-                if let Some(d) = dst_origin {
-                    if addr != trace.dst && dest_marked.insert(idx) {
-                        *g.routers[idx].destinations.entry(d).or_insert(0) += 1;
+                if let Some(d) = dst {
+                    if addr != trace.dst && !marked.contains(&idx) {
+                        marked.push(idx);
+                        *routers[idx].destinations.entry(d).or_insert(0) += 1;
                     }
                 }
                 if let Some((ppos, pidx)) = prev {
                     // Only adjacent responsive hops form edges: a gap
                     // (unresponsive hop) hides the true adjacency.
                     if pos == ppos + 1 && pidx != idx {
-                        let origin = input.origin(addr);
+                        let origin = *info.origin.get_or_insert_with(|| input.origin(addr));
+                        let node = &mut routers[pidx];
                         if let Some(o) = origin {
-                            *g.routers[pidx].subsequent.entry(o).or_insert(0) += 1;
+                            *node.subsequent.entry(o).or_insert(0) += 1;
                         }
-                        *g.routers[pidx].next_routers.entry(idx).or_insert(0) += 1;
+                        *node.next_routers.entry(idx).or_insert(0) += 1;
                     }
                 }
                 prev = Some((pos, idx));
             }
             if !reached {
                 if let Some((_, idx)) = prev {
-                    g.routers[idx].last_hop = true;
+                    routers[idx].last_hop = true;
                 }
             }
         }
-        g
-    }
 
-    /// Router index for an address, creating a singleton router if the
-    /// address was not in any alias set.
-    fn router_for(&mut self, addr: Addr) -> RouterIdx {
-        if let Some(&i) = self.by_addr.get(&addr) {
-            return i;
-        }
-        let idx = self.routers.len();
-        self.routers.push(RouterNode { interfaces: vec![addr], ..RouterNode::default() });
-        self.by_addr.insert(addr, idx);
-        idx
+        let mut by_addr: Vec<(Addr, RouterIdx)> =
+            addrs.into_iter().map(|(a, info)| (a, info.router)).collect();
+        by_addr.sort_unstable();
+        RouterGraph { routers, by_addr: by_addr.into_iter().collect() }
     }
 
     /// Number of routers.

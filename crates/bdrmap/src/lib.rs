@@ -27,7 +27,7 @@ pub mod rtaa;
 use hoiho_asdb::{Addr, As2Org, AsRelationships, Asn, IxpDirectory, RouteTable};
 
 /// One traceroute path, as inference input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// ASN hosting the vantage point.
     pub vp_asn: Asn,

@@ -1,5 +1,6 @@
 //! Benchmarks for the inference substrate: longest-prefix matching,
-//! public-suffix lookups, router-graph construction, RTAA election,
+//! public-suffix lookups, the traceroute campaign, router-graph
+//! construction, RTAA election,
 //! bdrmapIT refinement, and the §5 integration.
 //!
 //! Runs on the devkit micro-benchmark harness; results land in
@@ -12,7 +13,8 @@ use hoiho_bdrmap::refine::{self, RefineConfig};
 use hoiho_bdrmap::rtaa;
 use hoiho_devkit::bench::{Harness, Throughput};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
-use hoiho_netsim::SimConfig;
+use hoiho_netsim::traceroute::run_traceroutes;
+use hoiho_netsim::{Internet, SimConfig};
 use hoiho_psl::PublicSuffixList;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -68,6 +70,19 @@ fn bench_psl(h: &mut Harness) {
             black_box(n)
         })
     });
+    g.finish();
+}
+
+fn bench_traceroute(h: &mut Harness) {
+    // The whole measurement campaign over the default-sized world:
+    // routing towards every destination and router-level expansion of
+    // every vantage point's path.
+    let net = Internet::generate(&SimConfig::default());
+    let paths = run_traceroutes(&net).paths.len();
+    let mut g = h.benchmark_group("substrate/traceroute");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(paths as u64));
+    g.bench_function("default_internet", |b| b.iter(|| black_box(run_traceroutes(black_box(&net)))));
     g.finish();
 }
 
@@ -146,6 +161,7 @@ fn main() {
     let mut h = Harness::new("inference");
     bench_trie(&mut h);
     bench_psl(&mut h);
+    bench_traceroute(&mut h);
     bench_graph_build(&mut h);
     bench_inference(&mut h);
     bench_integration(&mut h);

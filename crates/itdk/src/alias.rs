@@ -8,10 +8,10 @@
 
 use hoiho_asdb::Addr;
 use hoiho_bdrmap::Trace;
-use hoiho_netsim::Internet;
 use hoiho_devkit::rngs::StdRng;
 use hoiho_devkit::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use hoiho_netsim::internet::IfaceKind;
+use hoiho_netsim::Internet;
 
 /// Groups interface addresses into alias sets by ground-truth router.
 ///
@@ -21,7 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// except that resolution is incomplete: each interface fails to be
 /// placed with probability `split_rate` (observed ones become singleton
 /// routers downstream; unobserved ones vanish). Returns only sets with
-/// at least two members — singletons need no alias set.
+/// at least two members — singletons need no alias set — in router
+/// order.
 pub fn resolve(
     net: &Internet,
     traces: &[Trace],
@@ -29,38 +30,35 @@ pub fn resolve(
     seed: u64,
 ) -> Vec<Vec<Addr>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA11A_5E75);
-    // Observed addresses that belong to interfaces (destinations that
-    // responded are hosts, not router interfaces).
-    let mut observed: BTreeSet<Addr> = BTreeSet::new();
+    // Interfaces observed in traces (destinations that responded are
+    // hosts, not router interfaces), and the routers holding them.
+    let mut observed = vec![false; net.interfaces.len()];
+    let mut probed = vec![false; net.routers.len()];
     for t in traces {
         for h in t.hops.iter().flatten() {
-            if net.iface_at(*h).is_some() {
-                observed.insert(*h);
+            if let Some(&i) = net.addr_index.get(h) {
+                observed[i as usize] = true;
+                probed[net.interfaces[i as usize].router as usize] = true;
             }
         }
     }
-    // Routers with at least one observed interface.
-    let probed: BTreeSet<u32> =
-        observed.iter().map(|&a| net.iface_at(a).expect("observed iface").router).collect();
-    let mut by_router: BTreeMap<u32, Vec<Addr>> = BTreeMap::new();
+    let mut by_router: Vec<Vec<Addr>> = vec![Vec::new(); net.routers.len()];
     for iface in &net.interfaces {
-        if !probed.contains(&iface.router) {
+        if !probed[iface.router as usize] {
             continue;
         }
         // IXP LAN addresses respond poorly to alias probing (shared
         // media, filtered), so MIDAR only places the ones traceroute
         // itself observed.
-        if iface.kind == hoiho_netsim::internet::IfaceKind::IxpLan
-            && !observed.contains(&iface.addr)
-        {
+        if iface.kind == IfaceKind::IxpLan && !observed[iface.id as usize] {
             continue;
         }
         if rng.random_bool(split_rate) {
             continue; // resolution failed for this interface
         }
-        by_router.entry(iface.router).or_default().push(iface.addr);
+        by_router[iface.router as usize].push(iface.addr);
     }
-    by_router.into_values().filter(|v| v.len() >= 2).collect()
+    by_router.into_iter().filter(|v| v.len() >= 2).collect()
 }
 
 #[cfg(test)]
@@ -68,6 +66,7 @@ mod tests {
     use super::*;
     use hoiho_netsim::traceroute::run_traceroutes;
     use hoiho_netsim::SimConfig;
+    use std::collections::BTreeSet;
 
     fn setup() -> (Internet, Vec<Trace>) {
         let net = Internet::generate(&SimConfig::tiny(61));

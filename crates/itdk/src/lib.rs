@@ -152,8 +152,8 @@ impl BuiltSnapshot {
         let ts = run_traceroutes(&internet);
         let traces: Vec<Trace> = ts
             .paths
-            .iter()
-            .map(|p| Trace { vp_asn: p.vp_asn, dst: p.dst, hops: p.hops.clone() })
+            .into_iter()
+            .map(|p| Trace { vp_asn: p.vp_asn, dst: p.dst, hops: p.hops })
             .collect();
         let aliases = alias::resolve(&internet, &traces, spec.alias_split, spec.cfg.seed);
         let input = InferenceInput {

@@ -282,10 +282,10 @@ impl Internet {
 }
 
 /// FNV-1a, the workspace's house choice for cheap stable digests.
-struct Fnv(u64);
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn new() -> Fnv {
+    pub(crate) fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
@@ -296,7 +296,7 @@ impl Fnv {
         }
     }
 
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 

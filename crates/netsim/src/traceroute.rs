@@ -2,25 +2,31 @@
 //!
 //! AS-level forwarding follows Gao-Rexford policy routing: an AS prefers
 //! routes through customers over peers over providers, never exporting a
-//! peer/provider route to another peer/provider (valley-free paths). The
-//! route computation is the standard three-phase BFS per destination:
-//! customer routes propagate up provider links, one optional peer edge,
-//! then provider routes propagate down.
+//! peer/provider route to another peer/provider (valley-free paths).
+//! [`Routing`] computes the routes towards one destination in three
+//! breadth-first phases over adjacency lists split by relationship:
+//! customer routes climb provider links (a FIFO BFS), peer routes take
+//! one lateral step onto a customer route (one pass over the peer
+//! lists), and provider routes descend customer links from every base
+//! route (the base routes, sorted by distance, merged with a FIFO). Every
+//! link costs 1, so these are exactly the shortest-path distances. Next
+//! hops are then picked only for the ASes a vantage point's walk visits.
 //!
 //! Router-level expansion walks the star topology inside each AS and the
 //! interconnect/IXP links between them, recording at each hop the
 //! address of the interface the packet *entered* — which, on
 //! supplier-addressed interconnects, is an address routed and named by
-//! the previous AS (the paper's central measurement artefact).
+//! the previous AS (the paper's central measurement artefact). It reads
+//! dense tables built once per snapshot: the link of each AS pair and
+//! each router's link to its core.
 
-use crate::internet::{Internet, RouterId};
+use crate::internet::{IfaceId, IfaceKind, Internet, RouterId};
 use hoiho_asdb::{Addr, Asn, Relationship};
 use hoiho_devkit::rngs::StdRng;
 use hoiho_devkit::{RngExt, SeedableRng};
-use std::collections::BinaryHeap;
 
 /// One traceroute.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracePath {
     /// ASN hosting the vantage point.
     pub vp_asn: Asn,
@@ -33,7 +39,7 @@ pub struct TracePath {
 }
 
 /// A collection of traceroutes from a set of vantage points.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     /// All paths.
     pub paths: Vec<TracePath>,
@@ -42,147 +48,254 @@ pub struct TraceSet {
 }
 
 const INF: u32 = u32::MAX;
+/// Marks an absent interface in the dense tables.
+const NO_IFACE: IfaceId = IfaceId::MAX;
 
-/// Per-destination policy routing state.
+/// Adjacency lists in one flat array: the neighbours of node `x` are
+/// `ids[start[x]..start[x + 1]]`, in ascending order.
+struct Csr {
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds the lists of `n` nodes from `(x, y)` pairs ascending in
+    /// `x`, and in `y` within one `x`.
+    fn from_sorted(n: usize, pairs: impl IntoIterator<Item = (usize, usize)>) -> Csr {
+        let mut start = Vec::with_capacity(n + 1);
+        let mut ids = Vec::new();
+        for (x, y) in pairs {
+            while start.len() <= x {
+                start.push(ids.len() as u32);
+            }
+            ids.push(y as u32);
+        }
+        while start.len() <= n {
+            start.push(ids.len() as u32);
+        }
+        Csr { start, ids }
+    }
+
+    fn of(&self, x: usize) -> &[u32] {
+        &self.ids[self.start[x] as usize..self.start[x + 1] as usize]
+    }
+}
+
+/// Valley-free policy routing over the AS graph: the adjacency split by
+/// relationship, and the route distances towards the destination last
+/// passed to [`Routing::route_to`] (buffers reused across destinations).
 pub struct Routing {
-    /// Adjacency (dense ids) restricted to ASes actually linked, with
-    /// the relationship from the perspective of the first AS.
-    nbrs: Vec<Vec<(usize, Relationship)>>,
+    /// Customers of each AS (it reaches them down a provider link).
+    customers: Csr,
+    /// Peers of each AS.
+    peers: Csr,
+    /// Providers of each AS.
+    providers: Csr,
+    /// Destination of the distance tables.
+    dest: usize,
+    /// Hops of each AS's shortest customer route (`INF`: none).
+    cust: Vec<u32>,
+    /// Hops of each AS's shortest peer route.
+    peer: Vec<u32>,
+    /// Hops of each AS's shortest provider route.
+    prov: Vec<u32>,
+    /// BFS queue (dense ids).
+    queue: Vec<u32>,
+    /// Base-route holders sorted by distance, and the per-distance
+    /// counts of the counting sort that orders them.
+    sources: Vec<u32>,
+    counts: Vec<u32>,
 }
 
 impl Routing {
-    /// Builds the routing adjacency from an [`Internet`].
+    /// Builds the routing adjacency from an [`Internet`]: the ASes it
+    /// links, with the relationship from the first AS's perspective.
     pub fn new(net: &Internet) -> Routing {
         let n = net.aslevel.ases.len();
-        let mut nbrs: Vec<Vec<(usize, Relationship)>> = vec![Vec::new(); n];
-        for &(a, b) in net.link_index.keys() {
-            let ra = net.aslevel.ases[a].asn;
-            let rb = net.aslevel.ases[b].asn;
-            if let Some(rel) = net.aslevel.rel.relationship(ra, rb) {
-                nbrs[a].push((b, rel));
-            }
+        // `link_index` keys ascend by (a, b), so every list comes out
+        // sorted by dense id.
+        let edges: Vec<(usize, usize, Relationship)> = net
+            .link_index
+            .keys()
+            .filter_map(|&(a, b)| {
+                let ra = net.aslevel.ases[a].asn;
+                let rb = net.aslevel.ases[b].asn;
+                net.aslevel.rel.relationship(ra, rb).map(|rel| (a, b, rel))
+            })
+            .collect();
+        let split = |want: Relationship| {
+            Csr::from_sorted(
+                n,
+                edges.iter().filter(|e| e.2 == want).map(|&(a, b, _)| (a, b)),
+            )
+        };
+        Routing {
+            customers: split(Relationship::ProviderOf),
+            peers: split(Relationship::Peer),
+            providers: split(Relationship::CustomerOf),
+            dest: 0,
+            cust: vec![INF; n],
+            peer: vec![INF; n],
+            prov: vec![INF; n],
+            queue: Vec::with_capacity(n),
+            sources: Vec::with_capacity(n),
+            counts: Vec::new(),
         }
-        for list in &mut nbrs {
-            list.sort_by_key(|&(id, _)| id);
-            list.dedup_by_key(|&mut (id, _)| id);
-        }
-        Routing { nbrs }
     }
 
-    /// Computes the next-hop table towards destination `d` (dense id).
-    /// `next[x]` is the dense id of the AS `x` forwards to, or `None`
-    /// when `x` has no valley-free route to `d`.
-    #[allow(clippy::needless_range_loop)] // x indexes several parallel tables
-    pub fn next_hops(&self, d: usize) -> Vec<Option<usize>> {
-        let n = self.nbrs.len();
-        let mut dist_cust = vec![INF; n];
-        dist_cust[d] = 0;
-        // Customer routes climb provider edges: if x has a customer
-        // route, every provider of x learns one.
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0, d)));
-        while let Some(std::cmp::Reverse((dx, x))) = heap.pop() {
-            if dx > dist_cust[x] {
-                continue;
-            }
-            for &(y, rel) in &self.nbrs[x] {
-                // y is x's provider when x is y's customer.
-                if rel == Relationship::CustomerOf && dx + 1 < dist_cust[y] {
-                    dist_cust[y] = dx + 1;
-                    heap.push(std::cmp::Reverse((dx + 1, y)));
+    /// Number of ASes.
+    fn len(&self) -> usize {
+        self.cust.len()
+    }
+
+    /// Computes every AS's route distances towards destination `d`
+    /// (dense id); [`Routing::next_hop`] and [`Routing::as_path`] then
+    /// answer for `d`.
+    pub fn route_to(&mut self, d: usize) {
+        let n = self.len();
+        self.dest = d;
+        self.cust.fill(INF);
+        self.peer.fill(INF);
+        self.prov.fill(INF);
+
+        // Customer routes climb provider links: if x has a customer
+        // route, every provider of x learns one a hop longer.
+        self.queue.clear();
+        self.cust[d] = 0;
+        self.queue.push(d as u32);
+        let mut head = 0;
+        while let Some(&x) = self.queue.get(head) {
+            head += 1;
+            let next = self.cust[x as usize] + 1;
+            for &y in self.providers.of(x as usize) {
+                if self.cust[y as usize] == INF {
+                    self.cust[y as usize] = next;
+                    self.queue.push(y);
                 }
             }
         }
+
         // Peer routes: exactly one lateral step onto a customer route.
-        let mut dist_peer = vec![INF; n];
         for x in 0..n {
-            for &(y, rel) in &self.nbrs[x] {
-                if rel == Relationship::Peer && dist_cust[y] != INF {
-                    dist_peer[x] = dist_peer[x].min(dist_cust[y] + 1);
-                }
-            }
-        }
-        // Provider routes descend customer edges from any base route.
-        let base =
-            |i: usize, dc: &Vec<u32>, dp: &Vec<u32>| -> u32 { dc[i].min(dp[i]) };
-        let mut dist_prov = vec![INF; n];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-        for x in 0..n {
-            let b = base(x, &dist_cust, &dist_peer);
-            if b != INF {
-                heap.push(std::cmp::Reverse((b, x)));
-            }
-        }
-        while let Some(std::cmp::Reverse((dx, x))) = heap.pop() {
-            let best_x = base(x, &dist_cust, &dist_peer).min(dist_prov[x]);
-            if dx > best_x {
-                continue;
-            }
-            for &(y, rel) in &self.nbrs[x] {
-                // y is x's customer: y can use x as provider.
-                if rel == Relationship::ProviderOf && dx + 1 < dist_prov[y] {
-                    dist_prov[y] = dx + 1;
-                    heap.push(std::cmp::Reverse((dx + 1, y)));
+            for &y in self.peers.of(x) {
+                let c = self.cust[y as usize];
+                if c != INF {
+                    self.peer[x] = self.peer[x].min(c + 1);
                 }
             }
         }
 
-        // Next-hop selection: customer > peer > provider, shortest, then
-        // lowest dense id (deterministic).
-        let mut next: Vec<Option<usize>> = vec![None; n];
+        // Provider routes descend customer links from any base route.
+        // The base-route holders, counting-sorted by distance, merge
+        // with the FIFO of provider routes found, so ASes leave in
+        // distance order as from a priority queue.
+        self.counts.clear();
         for x in 0..n {
-            if x == d {
+            let b = self.base(x);
+            if b != INF {
+                let b = b as usize;
+                if self.counts.len() <= b {
+                    self.counts.resize(b + 1, 0);
+                }
+                self.counts[b] += 1;
+            }
+        }
+        let mut at = 0;
+        for c in &mut self.counts {
+            let here = *c;
+            *c = at;
+            at += here;
+        }
+        self.sources.clear();
+        self.sources.resize(at as usize, 0);
+        for x in 0..n {
+            let b = self.base(x);
+            if b != INF {
+                let slot = &mut self.counts[b as usize];
+                self.sources[*slot as usize] = x as u32;
+                *slot += 1;
+            }
+        }
+        self.queue.clear();
+        let (mut head, mut next_source) = (0, 0);
+        loop {
+            let source = self.sources.get(next_source).map(|&x| (self.base(x as usize), x));
+            let queued = self.queue.get(head).map(|&x| (self.prov[x as usize], x));
+            let (dx, x) = match (source, queued) {
+                (Some(s), Some(q)) if q.0 < s.0 => {
+                    head += 1;
+                    q
+                }
+                (Some(s), _) => {
+                    next_source += 1;
+                    s
+                }
+                (None, Some(q)) => {
+                    head += 1;
+                    q
+                }
+                (None, None) => break,
+            };
+            if dx > self.best(x as usize) {
                 continue;
             }
-            let mut choice: Option<usize> = None;
-            if dist_cust[x] != INF {
-                choice = self.nbrs[x]
-                    .iter()
-                    .filter(|&&(y, rel)| {
-                        rel == Relationship::ProviderOf && dist_cust[y] == dist_cust[x] - 1
-                    })
-                    .map(|&(y, _)| y)
-                    .min();
-            } else if dist_peer[x] != INF {
-                choice = self.nbrs[x]
-                    .iter()
-                    .filter(|&&(y, rel)| {
-                        rel == Relationship::Peer && dist_cust[y] == dist_peer[x] - 1
-                    })
-                    .map(|&(y, _)| y)
-                    .min();
-            } else if dist_prov[x] != INF {
-                choice = self.nbrs[x]
-                    .iter()
-                    .filter(|&&(y, rel)| {
-                        rel == Relationship::CustomerOf
-                            && base(y, &dist_cust, &dist_peer).min(dist_prov[y])
-                                == dist_prov[x] - 1
-                    })
-                    .map(|&(y, _)| y)
-                    .min();
+            for &y in self.customers.of(x as usize) {
+                if dx + 1 < self.prov[y as usize] {
+                    self.prov[y as usize] = dx + 1;
+                    self.queue.push(y);
+                }
             }
-            next[x] = choice;
         }
-        next
     }
 
-    /// The AS-level path from `s` to `d` under `next` (from
-    /// [`Routing::next_hops`] for `d`), inclusive of both ends.
-    pub fn as_path(&self, s: usize, d: usize, next: &[Option<usize>]) -> Option<Vec<usize>> {
-        let mut path = vec![s];
+    /// Distance of AS `x`'s best customer or peer route.
+    fn base(&self, x: usize) -> u32 {
+        self.cust[x].min(self.peer[x])
+    }
+
+    /// Distance of AS `x`'s best route of any kind.
+    fn best(&self, x: usize) -> u32 {
+        self.base(x).min(self.prov[x])
+    }
+
+    /// The AS that `x` forwards to towards the routed destination, or
+    /// `None` when `x` is the destination or has no valley-free route:
+    /// customer routes over peer over provider routes, then the
+    /// shortest, then the lowest dense id.
+    pub fn next_hop(&self, x: usize) -> Option<usize> {
+        if x == self.dest {
+            return None;
+        }
+        let (c, p, v) = (self.cust[x], self.peer[x], self.prov[x]);
+        let hop = if c != INF {
+            self.customers.of(x).iter().find(|&&y| self.cust[y as usize] == c - 1)
+        } else if p != INF {
+            self.peers.of(x).iter().find(|&&y| self.cust[y as usize] == p - 1)
+        } else if v != INF {
+            self.providers.of(x).iter().find(|&&y| self.best(y as usize) == v - 1)
+        } else {
+            None
+        };
+        hop.map(|&y| y as usize)
+    }
+
+    /// Writes the AS-level path from `s` to the routed destination into
+    /// `path`, inclusive of both ends; false when there is none.
+    pub fn as_path(&self, s: usize, path: &mut Vec<usize>) -> bool {
+        path.clear();
+        path.push(s);
         let mut cur = s;
-        while cur != d {
-            let nx = next[cur]?;
+        while cur != self.dest {
+            let Some(nx) = self.next_hop(cur) else { return false };
             // Defensive: valley-free next-hops cannot loop, but a bug
             // would hang the simulator, so bound the walk.
-            if path.len() > self.nbrs.len() {
-                return None;
+            if path.len() > self.len() {
+                return false;
             }
             path.push(nx);
             cur = nx;
         }
-        Some(path)
+        true
     }
 }
 
@@ -191,7 +304,8 @@ impl Routing {
 pub fn run_traceroutes(net: &Internet) -> TraceSet {
     let mut rng = StdRng::seed_from_u64(net.cfg.seed ^ 0x7E57_0003);
     let n = net.aslevel.ases.len();
-    let routing = Routing::new(net);
+    let mut routing = Routing::new(net);
+    let mut expander = Expander::new(net);
 
     // Vantage points: deterministic spread across edge and tier-2 ASes.
     let mut vp_as_ids: Vec<usize> = Vec::new();
@@ -208,111 +322,135 @@ pub fn run_traceroutes(net: &Internet) -> TraceSet {
     }
 
     let mut paths = Vec::new();
+    let mut as_path = Vec::new();
     for d in 0..n {
-        let next = routing.next_hops(d);
+        routing.route_to(d);
         let dst = net.dest_addr(d);
         for &vp in &vp_as_ids {
-            if vp == d {
+            if vp == d || !routing.as_path(vp, &mut as_path) {
                 continue;
             }
-            let Some(as_path) = routing.as_path(vp, d, &next) else { continue };
-            let (hops, reached) = expand_path(net, &as_path, &mut rng);
-            paths.push(TracePath {
-                vp_asn: net.aslevel.ases[vp].asn,
-                dst,
-                hops,
-                reached,
-            });
+            let (hops, reached) = expander.expand(&as_path, &mut rng);
+            paths.push(TracePath { vp_asn: net.aslevel.ases[vp].asn, dst, hops, reached });
         }
     }
     TraceSet { paths, vp_as_ids }
 }
 
-/// Expands an AS path into hop addresses.
-fn expand_path(
-    net: &Internet,
-    as_path: &[usize],
-    rng: &mut StdRng,
-) -> (Vec<Option<Addr>>, bool) {
-    let mut hops: Vec<Addr> = Vec::new();
-    // The probe starts at the VP AS's core router.
-    let mut cur_router: RouterId = net.as_routers[as_path[0]][0];
-    for w in as_path.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let Some(&li) = net.link_index.get(&(a, b)) else { break };
-        let link = &net.links[li];
-        let (exit_router, entry_router, entry_iface) = if link.a_as == a {
-            (link.a_router, link.b_router, link.b_iface)
-        } else {
-            (link.b_router, link.a_router, link.a_iface)
-        };
-        // Internal walk to the exit border (star topology: at most two
-        // internal hops, via the core).
-        record_internal(net, &mut hops, cur_router, exit_router, a);
-        // Crossing the interconnect: the hop answers with the entry
-        // interface — a supplier-routed address on the neighbor's router.
-        // With some probability the router answers from a *different*
-        // interface instead (a third-party address), the classic
-        // traceroute artefact that muddies ownership evidence.
-        let mut answer = net.interfaces[entry_iface as usize].addr;
-        if rng.random_bool(net.cfg.third_party_rate) {
-            // Third-party answers come from the interface the reply
-            // leaves through — some point-to-point or internal port,
-            // never the shared IXP LAN.
-            let candidates: Vec<u32> = net.routers[entry_router as usize]
-                .interfaces
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    net.interfaces[i as usize].kind != crate::internet::IfaceKind::IxpLan
-                })
-                .collect();
-            if candidates.len() > 1 {
-                let pick = candidates[rng.random_range(0..candidates.len())];
-                answer = net.interfaces[pick as usize].addr;
-            }
-        }
-        hops.push(answer);
-        cur_router = entry_router;
-    }
-    // Inside the destination AS, walk to the core where the host hangs.
-    let d = *as_path.last().expect("non-empty path");
-    let core = net.as_routers[d][0];
-    record_internal(net, &mut hops, cur_router, core, d);
-    // The destination host answers most of the time.
-    let reached = rng.random_bool(0.85);
-    let mut out: Vec<Option<Addr>> = hops
-        .into_iter()
-        .map(|h| if rng.random_bool(net.cfg.unresponsive_rate) { None } else { Some(h) })
-        .collect();
-    if reached {
-        out.push(Some(net.dest_addr(d)));
-    }
-    (out, reached)
+/// Expands AS paths into hop addresses over per-snapshot dense tables.
+struct Expander<'a> {
+    net: &'a Internet,
+    /// Every AS each AS links to, ascending.
+    nbrs: Csr,
+    /// Index into `net.links` of each `nbrs` entry.
+    link: Vec<u32>,
+    /// Per router, its link to its AS's core router: (interface on the
+    /// core, interface on the router); `NO_IFACE` when it has none.
+    uplink: Vec<(IfaceId, IfaceId)>,
+    /// Hop buffer, reused across paths.
+    hops: Vec<Addr>,
 }
 
-/// Records the interior hops of a star-topology AS between two routers.
-fn record_internal(
-    net: &Internet,
-    hops: &mut Vec<Addr>,
-    from: RouterId,
-    to: RouterId,
-    as_id: usize,
-) {
-    if from == to {
-        return;
+impl<'a> Expander<'a> {
+    fn new(net: &'a Internet) -> Expander<'a> {
+        let nbrs = Csr::from_sorted(net.aslevel.ases.len(), net.link_index.keys().copied());
+        let link = net.link_index.values().map(|&li| li as u32).collect();
+        let mut uplink = vec![(NO_IFACE, NO_IFACE); net.routers.len()];
+        for (&(from, to), &(on_from, on_to)) in &net.internal {
+            if net.as_routers[net.routers[to as usize].as_id][0] == from {
+                uplink[to as usize] = (on_from, on_to);
+            }
+        }
+        Expander { net, nbrs, link, uplink, hops: Vec::new() }
     }
-    let core = net.as_routers[as_id][0];
-    if from != core && to != core {
-        // from → core → to.
-        if let Some(&(_, on_core)) = net.internal.get(&(from, core)) {
-            hops.push(net.interfaces[on_core as usize].addr);
+
+    /// Index into `net.links` of the link from AS `a` to AS `b`.
+    fn link(&self, a: usize, b: usize) -> Option<usize> {
+        let at = self.nbrs.of(a).binary_search(&(b as u32)).ok()?;
+        Some(self.link[self.nbrs.start[a] as usize + at] as usize)
+    }
+
+    /// The hop responses along `as_path`, and whether the destination
+    /// answered.
+    fn expand(&mut self, as_path: &[usize], rng: &mut StdRng) -> (Vec<Option<Addr>>, bool) {
+        let net = self.net;
+        self.hops.clear();
+        // The probe starts at the VP AS's core router.
+        let mut cur_router: RouterId = net.as_routers[as_path[0]][0];
+        for w in as_path.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let Some(li) = self.link(a, b) else { break };
+            let link = &net.links[li];
+            let (exit_router, entry_router, entry_iface) = if link.a_as == a {
+                (link.a_router, link.b_router, link.b_iface)
+            } else {
+                (link.b_router, link.a_router, link.a_iface)
+            };
+            // Internal walk to the exit border (star topology: at most
+            // two internal hops, via the core).
+            self.record_internal(cur_router, exit_router, a);
+            // Crossing the interconnect: the hop answers with the entry
+            // interface — a supplier-routed address on the neighbor's
+            // router. With some probability the router answers from a
+            // *different* interface instead (a third-party address), the
+            // classic traceroute artefact that muddies ownership
+            // evidence.
+            let mut answer = net.interfaces[entry_iface as usize].addr;
+            if rng.random_bool(net.cfg.third_party_rate) {
+                // Third-party answers come from the interface the reply
+                // leaves through — some point-to-point or internal port,
+                // never the shared IXP LAN.
+                let eligible = net.routers[entry_router as usize]
+                    .interfaces
+                    .iter()
+                    .filter(|&&i| net.interfaces[i as usize].kind != IfaceKind::IxpLan);
+                let count = eligible.clone().count();
+                if count > 1 {
+                    let k = rng.random_range(0..count);
+                    let pick = eligible.clone().nth(k).expect("k < count");
+                    answer = net.interfaces[*pick as usize].addr;
+                }
+            }
+            self.hops.push(answer);
+            cur_router = entry_router;
         }
-        if let Some(&(_, on_to)) = net.internal.get(&(core, to)) {
-            hops.push(net.interfaces[on_to as usize].addr);
+        // Inside the destination AS, walk to the core where the host
+        // hangs.
+        let d = *as_path.last().expect("non-empty path");
+        self.record_internal(cur_router, net.as_routers[d][0], d);
+        // The destination host answers most of the time.
+        let reached = rng.random_bool(0.85);
+        let mut out = Vec::with_capacity(self.hops.len() + usize::from(reached));
+        for &h in &self.hops {
+            out.push(if rng.random_bool(net.cfg.unresponsive_rate) { None } else { Some(h) });
         }
-    } else if let Some(&(_, on_to)) = net.internal.get(&(from, to)) {
-        hops.push(net.interfaces[on_to as usize].addr);
+        if reached {
+            out.push(Some(net.dest_addr(d)));
+        }
+        (out, reached)
+    }
+
+    /// Records the interior hops of a star-topology AS between two
+    /// routers: each hop answers with the interface it entered.
+    fn record_internal(&mut self, from: RouterId, to: RouterId, as_id: usize) {
+        if from == to {
+            return;
+        }
+        let core = self.net.as_routers[as_id][0];
+        if from != core {
+            // from → core: the core's side of from's uplink.
+            self.record(self.uplink[from as usize].0);
+        }
+        if to != core {
+            // core → to: to's own side of its uplink.
+            self.record(self.uplink[to as usize].1);
+        }
+    }
+
+    fn record(&mut self, iface: IfaceId) {
+        if iface != NO_IFACE {
+            self.hops.push(self.net.interfaces[iface as usize].addr);
+        }
     }
 }
 
@@ -352,18 +490,48 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every field of every path, in order.
+    fn digest(ts: &TraceSet) -> u64 {
+        let mut h = crate::internet::Fnv::new();
+        for &vp in &ts.vp_as_ids {
+            h.u64(vp as u64);
+        }
+        for p in &ts.paths {
+            h.u64(u64::from(p.vp_asn));
+            h.u64(u64::from(p.dst));
+            h.u64(u64::from(p.reached));
+            h.u64(p.hops.len() as u64);
+            for hop in &p.hops {
+                h.u64(hop.map_or(u64::MAX, u64::from));
+            }
+        }
+        h.0
+    }
+
+    #[test]
+    fn golden_traces() {
+        // Every route, third-party draw and hop is pinned: a change to
+        // routing or expansion that moves any of them fails here.
+        let ts = run_traceroutes(&Internet::generate(&SimConfig::default()));
+        assert_eq!(ts.paths.len(), 10152);
+        assert_eq!(digest(&ts), 0x9908_5945_9152_7e8c);
+        let ts = run_traceroutes(&net());
+        assert_eq!(ts.paths.len(), 300);
+        assert_eq!(digest(&ts), 0x72ed_eba2_3162_1568);
+    }
+
     #[test]
     fn paths_are_valley_free() {
         let n = net();
-        let routing = Routing::new(&n);
+        let mut routing = Routing::new(&n);
         let total = n.aslevel.ases.len();
+        let mut path = Vec::new();
         for d in (0..total).step_by(7) {
-            let next = routing.next_hops(d);
+            routing.route_to(d);
             for s in (0..total).step_by(5) {
-                if s == d {
+                if s == d || !routing.as_path(s, &mut path) {
                     continue;
                 }
-                let Some(path) = routing.as_path(s, d, &next) else { continue };
                 assert!(path.len() >= 2);
                 assert_eq!(path[0], s);
                 assert_eq!(*path.last().unwrap(), d);
@@ -398,18 +566,19 @@ mod tests {
         // Everyone has a provider chain to the tier-1 clique, so routes
         // must exist between almost all pairs.
         let n = net();
-        let routing = Routing::new(&n);
+        let mut routing = Routing::new(&n);
         let total = n.aslevel.ases.len();
         let mut ok = 0;
         let mut all = 0;
+        let mut path = Vec::new();
         for d in 0..total {
-            let next = routing.next_hops(d);
+            routing.route_to(d);
             for s in 0..total {
                 if s == d {
                     continue;
                 }
                 all += 1;
-                if routing.as_path(s, d, &next).is_some() {
+                if routing.as_path(s, &mut path) {
                     ok += 1;
                 }
             }
@@ -420,12 +589,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let n = net();
-        let a = run_traceroutes(&n);
-        let b = run_traceroutes(&n);
-        assert_eq!(a.paths.len(), b.paths.len());
-        for (x, y) in a.paths.iter().zip(&b.paths) {
-            assert_eq!(x.hops, y.hops);
-        }
+        assert_eq!(run_traceroutes(&n), run_traceroutes(&n));
     }
 
     #[test]

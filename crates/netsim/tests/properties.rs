@@ -56,13 +56,14 @@ props! {
     /// AS paths are valley-free for random source/destination samples.
     fn paths_valley_free(seed in 0u64..10_000, d_pick in any::<usize>(), s_pick in any::<usize>()) {
         let net = Internet::generate(&SimConfig::tiny(seed));
-        let routing = Routing::new(&net);
+        let mut routing = Routing::new(&net);
         let n = net.aslevel.ases.len();
         let d = d_pick % n;
         let s = s_pick % n;
         if s != d {
-            let next = routing.next_hops(d);
-            if let Some(path) = routing.as_path(s, d, &next) {
+            routing.route_to(d);
+            let mut path = Vec::new();
+            if routing.as_path(s, &mut path) {
                 let mut descending = false;
                 let mut peers = 0;
                 for w in path.windows(2) {

@@ -5,7 +5,11 @@
 #      every example and binary.
 #   3. The full test suite, offline, then the suites of the crates the
 #      root package does not cover (hoiho-psl, hoiho-serve,
-#      hoiho-cluster, hoiho-fuzz), then the multi-matcher equivalence
+#      hoiho-cluster, hoiho-fuzz), then the substrate suites
+#      (hoiho-asdb, hoiho-netsim, hoiho-bdrmap, hoiho-itdk, hoiho-pdb:
+#      including the golden traceroute digest and the byte-identity of
+#      the dense-table traceroute, alias resolution and router graph
+#      against their ordered-map oracles), then the multi-matcher equivalence
 #      gate by name: fixed-seed `learn_all` output must be byte-identical
 #      with Aho–Corasick literal dispatch on (default) and off (the
 #      per-regex column build kept as the oracle).
@@ -59,6 +63,7 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace --examples --bins
 cargo test -q --offline
 cargo test -q --offline -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz
+cargo test -q --offline -p hoiho-asdb -p hoiho-netsim -p hoiho-bdrmap -p hoiho-itdk -p hoiho-pdb
 
 # --- multi-matcher equivalence gate: dispatch on vs off, by name, so a
 # filter typo in the suite can never silently drop it ---
