@@ -17,7 +17,7 @@
 
 use crate::apparent::congruence;
 use crate::iputil::overlaps_any;
-use crate::regex::{CompiledRegex, MatchResult, Regex};
+use crate::regex::{CompiledRegex, Regex};
 use crate::training::HostObs;
 
 /// Per-hostname evaluation outcome.
@@ -133,13 +133,6 @@ fn classify_capture(host: &HostObs, s: usize, e: usize) -> Outcome {
     Outcome::FalsePositive(value32)
 }
 
-/// A match decides the host's outcome only if it captured something; a
-/// captureless match falls through to the next regex in the set.
-fn capture_outcome(m: &MatchResult, host: &HostObs) -> Option<Outcome> {
-    let &(s, e) = m.captures.first()?;
-    Some(classify_capture(host, s, e))
-}
-
 /// The outcome of a hostname no regex in the set claimed.
 pub fn negative_outcome(host: &HostObs) -> Outcome {
     if host.has_apparent() {
@@ -150,11 +143,8 @@ pub fn negative_outcome(host: &HostObs) -> Outcome {
 }
 
 /// Classifies one hostname against an ordered list of regexes
-/// (first-match-wins, the semantics of a convention set).
-///
-/// `Regex::find` runs each regex's cached compiled program, so this no
-/// longer falls back to the tree-walking interpreter; the interpreter
-/// path survives as [`classify_host_interpreted`] for differential tests.
+/// (first-match-wins, the semantics of a convention set), running each
+/// regex's cached compiled program.
 pub fn classify_host(regexes: &[Regex], host: &HostObs) -> Outcome {
     for r in regexes {
         // `match_capture` is the allocation-free cell primitive: a
@@ -168,44 +158,16 @@ pub fn classify_host(regexes: &[Regex], host: &HostObs) -> Outcome {
     negative_outcome(host)
 }
 
-/// [`classify_host`] on the tree-walking interpreter. Exists only as the
-/// differential oracle for the compiled engine; production callers want
-/// [`classify_host`].
-pub fn classify_host_interpreted(regexes: &[Regex], host: &HostObs) -> Outcome {
-    for r in regexes {
-        let Some(m) = r.find_interpreted(&host.hostname) else { continue };
-        if let Some(o) = capture_outcome(&m, host) {
-            return o;
-        }
-    }
-    negative_outcome(host)
-}
-
-/// [`classify_host`] over compiled programs.
-pub fn classify_host_compiled(programs: &[CompiledRegex], host: &HostObs) -> Outcome {
-    for p in programs {
-        let Some(cap) = p.match_capture(&host.hostname) else { continue };
-        if let Some((s, e)) = cap {
-            return classify_capture(host, s, e);
-        }
-    }
-    negative_outcome(host)
-}
-
 /// The per-regex "column cell" of the learner's outcome matrix: `Some`
 /// exactly when `program` would decide this host's outcome in a set
 /// (matched with a capture), `None` when the set falls through.
-pub fn regex_hit(program: &CompiledRegex, host: &HostObs) -> Option<Outcome> {
-    let (s, e) = program.match_capture(&host.hostname)??;
-    Some(classify_capture(host, s, e))
-}
-
-/// [`regex_hit`] with a caller-held one-entry span cache. Pools of
-/// sibling regexes overwhelmingly extract the *same* span from a given
-/// host, and classification (digit parse, IP-overlap, congruence)
-/// depends only on the span — so a caller evaluating many programs
-/// against one host can reuse the previous outcome whenever the span
-/// repeats. Reset the cache (or pass a fresh `None`) per host.
+///
+/// Pools of sibling regexes overwhelmingly extract the *same* span from
+/// a given host, and classification (digit parse, IP-overlap,
+/// congruence) depends only on the span — so a caller evaluating many
+/// programs against one host passes a one-entry span cache and the
+/// previous outcome is reused whenever the span repeats. Reset the cache
+/// (or pass a fresh `None`) per host.
 pub fn regex_hit_cached(
     program: &CompiledRegex,
     host: &HostObs,
@@ -229,29 +191,6 @@ pub fn evaluate(regexes: &[Regex], hosts: &[HostObs]) -> Counts {
         c.record(h, classify_host(regexes, h));
     }
     c
-}
-
-/// [`evaluate`] on the interpreter oracle ([`classify_host_interpreted`]).
-pub fn evaluate_interpreted(regexes: &[Regex], hosts: &[HostObs]) -> Counts {
-    let mut c = Counts::default();
-    for h in hosts {
-        c.record(h, classify_host_interpreted(regexes, h));
-    }
-    c
-}
-
-/// [`evaluate`] over compiled programs.
-pub fn evaluate_compiled(programs: &[CompiledRegex], hosts: &[HostObs]) -> Counts {
-    let mut c = Counts::default();
-    for h in hosts {
-        c.record(h, classify_host_compiled(programs, h));
-    }
-    c
-}
-
-/// Evaluates a single regex over a hostname set.
-pub fn evaluate_one(regex: &Regex, hosts: &[HostObs]) -> Counts {
-    evaluate(std::slice::from_ref(regex), hosts)
 }
 
 #[cfg(test)]

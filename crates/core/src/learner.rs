@@ -8,10 +8,11 @@ use crate::eval::Counts;
 use crate::phases::base::{self, BaseConfig};
 use crate::phases::classes::embed_classes;
 use crate::phases::merge::merge;
-use crate::phases::sets::{build_sets_stats, SetsConfig};
+use crate::phases::sets::{build_sets_stats, CandidateNc, SetsConfig, SetsStats};
+use crate::regex::Regex;
 use crate::select::select_best;
 use crate::taxonomy::{taxonomy_of, Taxonomy};
-use crate::training::SuffixTraining;
+use crate::training::{HostObs, SuffixTraining};
 
 /// Tunables for the whole pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -82,6 +83,20 @@ pub fn learn_suffix_traced(
     cfg: &LearnConfig,
     tracer: Option<&hoiho_obs::Tracer>,
 ) -> Option<LearnedConvention> {
+    learn_suffix_with(st, cfg, tracer, build_sets_stats)
+}
+
+/// The sets phase's signature. The learner always runs
+/// [`build_sets_stats`]; the seam lets tests run the whole pipeline on
+/// the sets oracles instead.
+type SetsBuilder = fn(&[Regex], &[HostObs], &SetsConfig) -> (Vec<CandidateNc>, SetsStats);
+
+fn learn_suffix_with(
+    st: &SuffixTraining,
+    cfg: &LearnConfig,
+    tracer: Option<&hoiho_obs::Tracer>,
+    build_sets: SetsBuilder,
+) -> Option<LearnedConvention> {
     let suffix = st.suffix.as_str();
     let span = |name: &str| tracer.map(|t| t.span(name, &[("suffix", suffix)]));
     let _outer = span("learn_suffix");
@@ -126,7 +141,7 @@ pub fn learn_suffix_traced(
                 &[("suffix", suffix), ("pool_size", &pool_size), ("hosts", &host_count)],
             )
         });
-        let (candidates, stats) = build_sets_stats(&pool, &st.hosts, &sets_cfg);
+        let (candidates, stats) = build_sets(&pool, &st.hosts, &sets_cfg);
         if let Some(g) = _s.as_mut() {
             g.arg("dispatched", &stats.dispatched.to_string());
         }
@@ -196,7 +211,7 @@ pub fn learn_all_traced(
     out
 }
 
-fn dedup(pool: &mut Vec<crate::regex::Regex>) {
+fn dedup(pool: &mut Vec<Regex>) {
     let mut seen = std::collections::BTreeSet::new();
     pool.retain(|r| seen.insert(r.to_string()));
 }
@@ -367,6 +382,78 @@ mod tests {
         let silent = Tracer::new();
         learn_all_traced(&groups, &LearnConfig::default(), None);
         assert!(silent.is_empty());
+    }
+
+    /// Ground-truth training groups from the tiny synthetic Internet at
+    /// a fixed seed (the same generator `hoiho learn --sim` uses).
+    fn sim_groups(seed: u64) -> Vec<SuffixTraining> {
+        let internet = hoiho_netsim::Internet::generate(&hoiho_netsim::SimConfig::tiny(seed));
+        let mut ts = TrainingSet::new();
+        for (iface, owner) in internet.named_interfaces() {
+            let hostname = iface.hostname.as_deref().expect("named interface has a hostname");
+            ts.push(Observation::new(hostname, iface.addr.to_be_bytes(), owner));
+        }
+        ts.by_suffix(&PublicSuffixList::builtin())
+    }
+
+    /// Runs the learner over every group with the given sets builder.
+    fn learn_with(groups: &[SuffixTraining], build_sets: SetsBuilder) -> Vec<LearnedConvention> {
+        let cfg = LearnConfig::default();
+        let out: Vec<LearnedConvention> =
+            groups.iter().filter_map(|st| learn_suffix_with(st, &cfg, None, build_sets)).collect();
+        assert!(!out.is_empty(), "sim training must learn something");
+        out
+    }
+
+    fn assert_identical(a: &[LearnedConvention], b: &[LearnedConvention]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            let suffix = &x.convention.suffix;
+            assert_eq!(x.convention, y.convention, "regex lists differ for {suffix}");
+            assert_eq!(x.convention.to_string(), y.convention.to_string());
+            assert_eq!(x.counts, y.counts, "counts differ for {suffix}");
+            assert_eq!(x.class, y.class);
+            assert_eq!(x.single, y.single);
+            assert_eq!(x.taxonomy, y.taxonomy);
+            assert_eq!(x.hostnames, y.hostnames);
+        }
+    }
+
+    /// The outcome matrix changes nothing: whole-pipeline output on a
+    /// fixed-seed synthetic Internet is identical with the direct
+    /// re-evaluation oracle and with dispatched columns, and the
+    /// production size selection agrees with both. `scripts/tier1.sh`
+    /// runs this test by name.
+    #[test]
+    fn learn_identical_with_direct_and_dispatch_sets() {
+        use crate::phases::sets::{build_sets_direct, build_sets_dispatch};
+        let groups = sim_groups(42);
+        let direct = learn_with(&groups, build_sets_direct);
+        assert_identical(&direct, &learn_with(&groups, build_sets_dispatch));
+        assert_identical(&direct, &learn_with(&groups, build_sets_stats));
+    }
+
+    /// Aho–Corasick literal dispatch changes nothing either: identical
+    /// whole-pipeline output with every matrix cell evaluated and with
+    /// every column built through dispatch (the sim's small suffixes sit
+    /// below the production threshold, so both are forced).
+    /// `scripts/tier1.sh` runs this test by name.
+    #[test]
+    fn learn_identical_with_undispatched_and_dispatched_columns() {
+        use crate::phases::sets::{build_sets_dispatch, build_sets_undispatched};
+        let groups = sim_groups(42);
+        assert_identical(
+            &learn_with(&groups, build_sets_undispatched),
+            &learn_with(&groups, build_sets_dispatch),
+        );
+    }
+
+    /// Fixed seed, fixed config ⇒ byte-identical output run to run.
+    #[test]
+    fn learn_all_is_deterministic() {
+        let groups = sim_groups(7);
+        let cfg = LearnConfig::default();
+        assert_identical(&learn_all(&groups, &cfg), &learn_all(&groups, &cfg));
     }
 
     #[test]

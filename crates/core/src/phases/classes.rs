@@ -16,17 +16,13 @@
 //!
 //! The specialised regex is added to the pool; the original stays.
 
+use super::DISPATCH_MIN_CELLS;
 use crate::regex::{CharClass, CompiledRegex, Elem, MultiMatcher, Regex};
 use crate::training::HostObs;
 
 /// Maximum run-sequence length worth emitting; longer sequences are
 /// almost certainly over-fitted to a handful of hostnames.
 const MAX_SEQUENCE: usize = 4;
-
-/// Smallest matrix (`pool × hosts` cells) worth an automaton: below
-/// this the [`MultiMatcher`] build costs more than the traces it
-/// skips, so every pair is traced directly.
-const DISPATCH_MIN_CELLS: usize = 4096;
 
 /// Specialises each regex in `pool` against the matched hostnames.
 /// Returns only the newly created regexes.
@@ -86,8 +82,7 @@ fn specialise_hosts<'a>(
     let mut matched: Vec<Vec<&'a str>> = vec![Vec::new(); elems.len()];
     let mut any = false;
     // The cached program amortises the compile over the whole hostname
-    // set (and across phases); compiled traces are bit-identical to the
-    // interpreter's.
+    // set (and across phases).
     let program = regex.program();
     // Only the span buffer is needed (no captures), reused across the
     // whole hostname set — `find_trace_into` is the allocation-free

@@ -10,3 +10,9 @@ pub mod base;
 pub mod classes;
 pub mod merge;
 pub mod sets;
+
+/// Smallest outcome matrix (`pool × hosts` cells) worth a
+/// [`crate::regex::MultiMatcher`]: below this the automaton build costs
+/// more than the evaluations it skips, so the sets and classes phases
+/// run every (regex, host) pair directly.
+const DISPATCH_MIN_CELLS: usize = 4096;

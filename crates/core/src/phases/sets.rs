@@ -13,7 +13,7 @@
 //!
 //! Set semantics are first-match-wins per hostname, so a trial set's
 //! `Counts` is fully determined by each member regex's *individual*
-//! per-host outcome. The default fast path therefore evaluates every
+//! per-host outcome. The learner therefore evaluates every
 //! pooled regex exactly once per host — through its compiled program
 //! ([`crate::regex::CompiledRegex`]) — into a column of
 //! `Option<Outcome>` cells (`Some` iff the regex matched with a
@@ -24,22 +24,25 @@
 //! set's resolved tally plus the candidate column's contribution on
 //! those hosts. No matcher runs during greedy extension at all.
 //!
-//! The default column build goes one step further (`multi_matcher:
-//! true`): a pool-wide [`MultiMatcher`] — an Aho–Corasick automaton
-//! over every program's required literals — scans each host **once**
-//! and dispatches only the regexes whose literals all occurred (plus
-//! the literal-free fallback bucket). Skipped cells are provably `None`
-//! (a missing required literal rules the match out), so the matrix is
-//! bit-identical to evaluating everything; the skip volume is exported
-//! as `hoiho_learn_prefilter_skips_total`.
+//! When the matrix is large enough to pay for it (`DISPATCH_MIN_CELLS`
+//! cells), the column build goes one step further: a pool-wide
+//! [`MultiMatcher`] — an Aho–Corasick automaton over every program's
+//! required literals — scans each host **once** and dispatches only the
+//! regexes whose literals all occurred (plus the literal-free fallback
+//! bucket). Skipped cells are provably `None` (a missing required
+//! literal rules the match out), so the matrix is bit-identical to
+//! evaluating everything; the skip volume is exported as
+//! `hoiho_learn_prefilter_skips_total`. Smaller matrices evaluate every
+//! (regex, host) cell.
 //!
-//! The direct path (`outcome_matrix: false`) re-evaluates every trial
-//! set with the interpreter, exactly as before; the equivalence tests
-//! in `tests/compiled_equiv.rs` pin all paths to identical output.
+//! The pre-matrix algorithm, which re-evaluates every trial set with
+//! [`crate::eval::evaluate`], survives only as a test oracle
+//! (`build_sets_direct`); the unit tests here and the whole-pipeline
+//! gates in `learner.rs` pin the matrix to it, and each column build to
+//! the other.
 
-use crate::eval::{
-    evaluate, evaluate_one, negative_outcome, regex_hit, regex_hit_cached, Counts, Outcome,
-};
+use super::DISPATCH_MIN_CELLS;
+use crate::eval::{negative_outcome, regex_hit_cached, Counts, Outcome};
 use crate::regex::{CompiledRegex, MultiMatcher, Regex};
 use crate::training::HostObs;
 use hoiho_obs::Counter;
@@ -64,33 +67,11 @@ pub struct SetsConfig {
     pub max_set_size: usize,
     /// Cap on ranked regexes considered for extension.
     pub max_pool: usize,
-    /// Use the memoized outcome-matrix fast path (default). The slow
-    /// direct path re-evaluates every greedy trial with the
-    /// interpreter; both produce identical output.
-    pub outcome_matrix: bool,
-    /// On the matrix path, build columns through one Aho–Corasick scan
-    /// per host ([`MultiMatcher`] literal dispatch) instead of one full
-    /// scan per (regex, host). Off falls back to the per-regex column
-    /// build (the PR 5 path), kept as the equivalence oracle; both
-    /// produce identical output.
-    pub multi_matcher: bool,
-    /// Smallest matrix (`pool × hosts` cells) worth an automaton: below
-    /// this the [`MultiMatcher`] build costs more than the evaluations
-    /// it skips, so the per-regex column build runs even with
-    /// `multi_matcher` on. Tests force `0` to pin the dispatch path.
-    pub multi_matcher_min_cells: usize,
 }
 
 impl Default for SetsConfig {
     fn default() -> Self {
-        SetsConfig {
-            max_starts: 12,
-            max_set_size: 6,
-            max_pool: 200,
-            outcome_matrix: true,
-            multi_matcher: true,
-            multi_matcher_min_cells: 4096,
-        }
+        SetsConfig { max_starts: 12, max_set_size: 6, max_pool: 200 }
     }
 }
 
@@ -147,18 +128,14 @@ pub fn build_sets_stats(
     hosts: &[HostObs],
     cfg: &SetsConfig,
 ) -> (Vec<CandidateNc>, SetsStats) {
-    eval_counters().0.add(pool.len() as u64);
-    let mut stats = SetsStats::default();
-    let mut out = if cfg.outcome_matrix {
-        build_sets_matrix(pool, hosts, cfg, &mut stats)
-    } else {
-        stats.dispatched = (pool.len() * hosts.len()) as u64;
-        build_sets_direct(pool, hosts, cfg)
-    };
+    build_sets_with(pool, hosts, cfg, DISPATCH_MIN_CELLS)
+}
 
-    // Dedup identical conventions (two seeds can converge). The key is
-    // computed once per candidate — the tie-breaks render the regexes
-    // to text, far too expensive to re-run inside a comparator.
+/// Sorts candidates best-first and drops duplicate conventions (two
+/// seeds can converge). The key is computed once per candidate — the
+/// tie-breaks render the regexes to text, far too expensive to re-run
+/// inside a comparator.
+fn dedup_candidates(mut out: Vec<CandidateNc>) -> Vec<CandidateNc> {
     out.sort_by_cached_key(|c| {
         (
             std::cmp::Reverse(c.counts.atp()),
@@ -171,7 +148,7 @@ pub fn build_sets_stats(
         )
     });
     out.dedup_by(|a, b| a.regexes == b.regexes);
-    (out, stats)
+    out
 }
 
 /// Rank-sorts evaluated candidates, in place, with the anti-over-fitting
@@ -195,51 +172,48 @@ fn rank_and_prune<T>(ranked: &mut Vec<(Regex, Counts, T)>, cfg: &SetsConfig) {
     ranked.dedup_by(|a, b| a.0 == b.0);
 }
 
-/// Fast path: at most one compiled evaluation per (regex, host), then
-/// pure column composition.
-fn build_sets_matrix(
+/// [`build_sets_stats`] with the dispatch threshold as a parameter, so
+/// tests can force either column build whatever the matrix size: at
+/// most one compiled evaluation per (regex, host), then pure column
+/// composition.
+fn build_sets_with(
     pool: &[Regex],
     hosts: &[HostObs],
     cfg: &SetsConfig,
-    stats: &mut SetsStats,
-) -> Vec<CandidateNc> {
-    let greedy_evals = &eval_counters().1;
+    dispatch_min_cells: usize,
+) -> (Vec<CandidateNc>, SetsStats) {
+    let (rank_evals, greedy_evals) = eval_counters();
+    rank_evals.add(pool.len() as u64);
+    let mut stats = SetsStats::default();
 
     // Layer 1: each pooled regex compiles once into its on-`Regex` cache.
     // Layer 2: evaluate it at most once per host into its outcome column.
-    // With `multi_matcher` on, "at most" does the heavy lifting: one
-    // automaton scan per host dispatches only the regexes whose required
-    // literals all occurred; a skipped cell is provably `None`, so the
-    // columns are bit-identical to the evaluate-everything build below.
-    let columns: Vec<Vec<Option<Outcome>>> = if cfg.multi_matcher
-        && pool.len() * hosts.len() >= cfg.multi_matcher_min_cells
-    {
-        let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
-        let matcher = MultiMatcher::build(programs.iter().copied());
-        let mut scratch = matcher.scratch();
-        let mut columns: Vec<Vec<Option<Outcome>>> = vec![vec![None; hosts.len()]; pool.len()];
-        for (hi, h) in hosts.iter().enumerate() {
-            let dispatched = matcher.dispatch(h.hostname.as_bytes(), &mut scratch);
-            stats.dispatched += dispatched.len() as u64;
-            // Sibling regexes overwhelmingly extract the same span from
-            // a host; the one-entry cache skips re-classifying it.
-            let mut span_cache = None;
-            for &ri in dispatched {
-                columns[ri as usize][hi] = regex_hit_cached(programs[ri as usize], h, &mut span_cache);
-            }
+    // On a large matrix "at most" does the heavy lifting: one automaton
+    // scan per host dispatches only the regexes whose required literals
+    // all occurred; a skipped cell is provably `None`, so the columns are
+    // bit-identical to evaluating every regex on every host.
+    let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
+    let cells = pool.len() * hosts.len();
+    let matcher =
+        (cells >= dispatch_min_cells).then(|| MultiMatcher::build(programs.iter().copied()));
+    let mut scratch = matcher.as_ref().map(MultiMatcher::scratch);
+    let every: Vec<u32> = (0..pool.len() as u32).collect();
+    let mut columns: Vec<Vec<Option<Outcome>>> = vec![vec![None; hosts.len()]; pool.len()];
+    for (hi, h) in hosts.iter().enumerate() {
+        let dispatched = match (&matcher, &mut scratch) {
+            (Some(m), Some(scratch)) => m.dispatch(h.hostname.as_bytes(), scratch),
+            _ => &every,
+        };
+        stats.dispatched += dispatched.len() as u64;
+        // Sibling regexes overwhelmingly extract the same span from a
+        // host; the one-entry cache skips re-classifying it.
+        let mut span_cache = None;
+        for &ri in dispatched {
+            columns[ri as usize][hi] = regex_hit_cached(programs[ri as usize], h, &mut span_cache);
         }
-        stats.skipped = (pool.len() * hosts.len()) as u64 - stats.dispatched;
-        prefilter_skips().add(stats.skipped);
-        columns
-    } else {
-        stats.dispatched = (pool.len() * hosts.len()) as u64;
-        pool.iter()
-            .map(|r| {
-                let p = r.program();
-                hosts.iter().map(|h| regex_hit(p, h)).collect()
-            })
-            .collect()
-    };
+    }
+    stats.skipped = cells as u64 - stats.dispatched;
+    prefilter_skips().add(stats.skipped);
 
     let mut ranked: Vec<(Regex, Counts, usize)> = pool
         .iter()
@@ -301,17 +275,22 @@ fn build_sets_matrix(
             out.push(CandidateNc { regexes: cur, counts: cur_counts });
         }
     }
-    out
+    (dedup_candidates(out), stats)
 }
 
-/// Direct path: the pre-matrix algorithm, re-evaluating each trial set
-/// with the interpreter. Kept verbatim as the equivalence oracle.
-fn build_sets_direct(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec<CandidateNc> {
-    let greedy_evals = &eval_counters().1;
+/// The pre-matrix algorithm, re-evaluating each trial set with
+/// [`crate::eval::evaluate`]: the equivalence oracle for the matrix.
+#[cfg(test)]
+pub(crate) fn build_sets_direct(
+    pool: &[Regex],
+    hosts: &[HostObs],
+    cfg: &SetsConfig,
+) -> (Vec<CandidateNc>, SetsStats) {
+    use crate::eval::evaluate;
 
     let mut ranked: Vec<(Regex, Counts, ())> = pool
         .iter()
-        .map(|r| (r.clone(), evaluate_one(r, hosts), ()))
+        .map(|r| (r.clone(), evaluate(std::slice::from_ref(r), hosts), ()))
         .filter(|(_, c, _)| c.tp > 0)
         .collect();
     rank_and_prune(&mut ranked, cfg);
@@ -329,7 +308,6 @@ fn build_sets_direct(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec
             if cur.len() >= cfg.max_set_size {
                 break;
             }
-            greedy_evals.inc();
             let mut trial = cur.clone();
             trial.push(r.clone());
             let c = evaluate(&trial, hosts);
@@ -342,7 +320,30 @@ fn build_sets_direct(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec
             out.push(CandidateNc { regexes: cur, counts: cur_counts });
         }
     }
-    out
+    let stats = SetsStats { dispatched: (pool.len() * hosts.len()) as u64, skipped: 0 };
+    (dedup_candidates(out), stats)
+}
+
+/// The matrix with every (regex, host) cell evaluated, whatever its
+/// size.
+#[cfg(test)]
+pub(crate) fn build_sets_undispatched(
+    pool: &[Regex],
+    hosts: &[HostObs],
+    cfg: &SetsConfig,
+) -> (Vec<CandidateNc>, SetsStats) {
+    build_sets_with(pool, hosts, cfg, usize::MAX)
+}
+
+/// The matrix with every column built through literal dispatch,
+/// whatever its size.
+#[cfg(test)]
+pub(crate) fn build_sets_dispatch(
+    pool: &[Regex],
+    hosts: &[HostObs],
+    cfg: &SetsConfig,
+) -> (Vec<CandidateNc>, SetsStats) {
+    build_sets_with(pool, hosts, cfg, 0)
 }
 
 /// Folds a first-match-wins outcome column into `Counts`, filling
@@ -500,7 +501,15 @@ mod tests {
         assert!(cands.iter().any(|c| c.regexes.len() == 3));
     }
 
-    /// The matrix and direct paths are interchangeable on Figure 4
+    fn assert_same(a: &[CandidateNc], b: &[CandidateNc]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.regexes, y.regexes);
+            assert_eq!(x.counts, y.counts);
+        }
+    }
+
+    /// The matrix and the direct oracle are interchangeable on Figure 4
     /// data: identical regex lists and identical full `Counts`.
     #[test]
     fn matrix_path_equals_direct_path() {
@@ -512,21 +521,15 @@ mod tests {
             rx(r"(\d+)-[a-z\d]+-ix\.equinix\.com$"),
         ];
         let hs = figure4_hosts();
-        let on = build_sets(&pool, &hs, &SetsConfig::default());
-        let off =
-            build_sets(&pool, &hs, &SetsConfig { outcome_matrix: false, ..SetsConfig::default() });
-        assert_eq!(on.len(), off.len());
-        for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.regexes, b.regexes);
-            assert_eq!(a.counts, b.counts);
-        }
+        let cfg = SetsConfig::default();
+        assert_same(&build_sets(&pool, &hs, &cfg), &build_sets_direct(&pool, &hs, &cfg).0);
     }
 
     /// Literal dispatch changes nothing: identical candidates and
-    /// counts with the multi-matcher on (default) and off (the PR 5
-    /// per-regex column build).
+    /// counts whether the columns are built through the automaton or by
+    /// evaluating every cell.
     #[test]
-    fn multi_matcher_path_equals_per_regex_path() {
+    fn dispatched_columns_equal_undispatched() {
         let pool = vec![
             rx(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),
             rx(r"^(\d+)-.+\.equinix\.com$"),
@@ -535,20 +538,13 @@ mod tests {
             rx(r"(\d+)"), // literal-free: fallback bucket
         ];
         let hs = figure4_hosts();
-        // min_cells 0 pins the dispatch path; the fixture is far below
-        // the default threshold and would silently test nothing.
-        let on = build_sets(
-            &pool,
-            &hs,
-            &SetsConfig { multi_matcher_min_cells: 0, ..SetsConfig::default() },
+        // Forced dispatch: the fixture is far below `DISPATCH_MIN_CELLS`
+        // and would otherwise skip the automaton on both sides.
+        let cfg = SetsConfig::default();
+        assert_same(
+            &build_sets_dispatch(&pool, &hs, &cfg).0,
+            &build_sets_undispatched(&pool, &hs, &cfg).0,
         );
-        let off =
-            build_sets(&pool, &hs, &SetsConfig { multi_matcher: false, ..SetsConfig::default() });
-        assert_eq!(on.len(), off.len());
-        for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.regexes, b.regexes);
-            assert_eq!(a.counts, b.counts);
-        }
     }
 
     /// The dispatch stats account for the whole matrix, and the skip
@@ -561,19 +557,65 @@ mod tests {
         ];
         let hs = figure4_hosts();
         let skips0 = prefilter_skips().get();
-        let (_, stats) = build_sets_stats(
-            &pool,
-            &hs,
-            &SetsConfig { multi_matcher_min_cells: 0, ..SetsConfig::default() },
-        );
+        let (_, stats) = build_sets_dispatch(&pool, &hs, &SetsConfig::default());
         assert_eq!(stats.dispatched + stats.skipped, (pool.len() * hs.len()) as u64);
         assert!(stats.skipped > 0, "`.sgw.` hosts are a minority: some cells must skip");
         assert!(prefilter_skips().get() >= skips0 + stats.skipped);
-        // The oracle paths report a full matrix and no skips.
-        let (_, direct) =
-            build_sets_stats(&pool, &hs, &SetsConfig { multi_matcher: false, ..SetsConfig::default() });
-        assert_eq!(direct.dispatched, (pool.len() * hs.len()) as u64);
-        assert_eq!(direct.skipped, 0);
+        // Without dispatch the stats report a full matrix and no skips.
+        let (_, full) = build_sets_undispatched(&pool, &hs, &SetsConfig::default());
+        assert_eq!(full.dispatched, (pool.len() * hs.len()) as u64);
+        assert_eq!(full.skipped, 0);
+    }
+
+    /// A 64-regex pool over `n` hosts: each regex names one of 16 pops,
+    /// so most (regex, host) cells miss a required literal.
+    fn pop_fixture(n: usize) -> (Vec<Regex>, Vec<HostObs>) {
+        let pool: Vec<Regex> = (0..64)
+            .map(|k| match k % 4 {
+                0 => rx(&format!(r"^as(\d+)\.pop{}\.example\.com$", k / 4)),
+                1 => rx(&format!(r"as(\d+)\.pop{}\.example\.com$", k / 4)),
+                2 => rx(&format!(r"^[a-z]+(\d+)\.pop{}\.example\.com$", k / 4)),
+                _ => rx(&format!(r"(\d+)\.pop{}\.", k / 4)),
+            })
+            .collect();
+        let rows: Vec<(String, u32)> = (0..n)
+            .map(|i| {
+                let asn = 64500 + i as u32 % 7;
+                // Every fifth host carries a wrong ASN: the sets see FPs.
+                let training = if i % 5 == 0 { asn + 1000 } else { asn };
+                (format!("as{asn}.pop{}.example.com", i % 16), training)
+            })
+            .collect();
+        let rows: Vec<(&str, u32)> = rows.iter().map(|(h, a)| (h.as_str(), *a)).collect();
+        (pool, hosts(&rows, "example.com"))
+    }
+
+    /// The production size selection: a matrix of `DISPATCH_MIN_CELLS`
+    /// cells is built through dispatch, and its output equals the
+    /// direct oracle's.
+    #[test]
+    fn default_selection_dispatches_at_the_threshold() {
+        let (pool, hs) = pop_fixture(DISPATCH_MIN_CELLS / 64);
+        assert!(pool.len() * hs.len() >= DISPATCH_MIN_CELLS);
+        let cfg = SetsConfig::default();
+        let (out, stats) = build_sets_stats(&pool, &hs, &cfg);
+        assert!(stats.skipped > 0, "a matrix at the threshold must dispatch");
+        assert!(!out.is_empty());
+        assert_same(&out, &build_sets_direct(&pool, &hs, &cfg).0);
+    }
+
+    /// Just below the threshold the production selection evaluates
+    /// every cell, with the same output as the direct oracle.
+    #[test]
+    fn default_selection_evaluates_every_cell_below_the_threshold() {
+        let (pool, hs) = pop_fixture(DISPATCH_MIN_CELLS / 64 - 1);
+        assert!(pool.len() * hs.len() < DISPATCH_MIN_CELLS);
+        let cfg = SetsConfig::default();
+        let (out, stats) = build_sets_stats(&pool, &hs, &cfg);
+        assert_eq!(stats.skipped, 0, "a matrix below the threshold must not dispatch");
+        assert_eq!(stats.dispatched, (pool.len() * hs.len()) as u64);
+        assert!(!out.is_empty());
+        assert_same(&out, &build_sets_direct(&pool, &hs, &cfg).0);
     }
 
     /// The `hoiho_learn_evaluations_total` counters move when sets are

@@ -1,7 +1,8 @@
 //! Element AST for the Hoiho regex dialect, plus rendering to the textual
-//! form. Parsing lives in [`super::parse`], matching in [`super::matcher`].
+//! form and the match entry points. Parsing lives in [`super::parse`];
+//! matching runs the compiled program from [`super::compiled`].
 
-use super::compiled::CompiledRegex;
+use super::compiled::{CompiledRegex, MatchResult};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -224,12 +225,38 @@ impl Regex {
     /// The compiled bitmask program for this regex, compiled on first use
     /// and cached for the regex's lifetime. Every matching entry point
     /// ([`Regex::find`], [`Regex::find_trace`], [`Regex::is_match`],
-    /// [`Regex::extract`]) routes through this cache, so no caller can
-    /// fall back to the tree-walking interpreter by forgetting to
-    /// compile; the interpreter survives only as the explicitly named
-    /// differential oracle ([`Regex::find_interpreted`]).
+    /// [`Regex::extract`]) routes through this cache, so a regex compiles
+    /// at most once however often it is matched.
     pub fn program(&self) -> &CompiledRegex {
         self.program.get_or_init(|| Box::new(CompiledRegex::compile(self)))
+    }
+
+    /// Matches `hostname` (which should already be lowercase) and returns
+    /// the first match found, preferring the leftmost start offset.
+    ///
+    /// Anchoring follows the element list: with `^` only offset 0 is
+    /// tried; with `$` the match must consume through the end.
+    pub fn find(&self, hostname: &str) -> Option<MatchResult> {
+        self.program().find(hostname)
+    }
+
+    /// Like [`Regex::find`], but also reports the byte span each element
+    /// consumed, aligned with [`Regex::elems`] (anchors get zero-width
+    /// spans; an unmatched optional alternation gets a zero-width span at
+    /// its position). The char-class phase (§3.4) uses this to see which
+    /// substrings a `[^\.]+` component actually matched.
+    pub fn find_trace(&self, hostname: &str) -> Option<(MatchResult, Vec<(usize, usize)>)> {
+        self.program().find_trace(hostname)
+    }
+
+    /// True if the regex matches `hostname` at all.
+    pub fn is_match(&self, hostname: &str) -> bool {
+        self.program().is_match(hostname)
+    }
+
+    /// Convenience: the text of the first capture of the first match.
+    pub fn extract<'h>(&self, hostname: &'h str) -> Option<&'h str> {
+        self.program().extract(hostname)
     }
 
     /// The element sequence.

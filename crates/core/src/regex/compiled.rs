@@ -1,11 +1,9 @@
 //! Compiled form of a dialect regex: a flat program with precomputed
 //! byte-class bitmask tables and cheap pre-match rejects.
 //!
-//! The interpreter in [`super::matcher`] re-derives per-element facts on
-//! every call: `NotIn` used to copy its excluded set into a fresh `Vec`,
-//! classes re-test three range predicates per byte, and an unanchored
-//! regex blindly tries every start offset. Compilation hoists all of
-//! that to construction time:
+//! This is the only matcher: every [`Regex`] match entry point runs the
+//! program cached on the regex ([`Regex::program`]). Compilation hoists
+//! per-element work out of the match loop:
 //!
 //! * every variable-width component (`\d+`, `[^X]+`, `[...]+`, `.+`,
 //!   and the `(\d+)` capture) lowers to a 256-bit [`ByteSet`] — one
@@ -19,14 +17,31 @@
 //!   begin a match (the first body element's admissible byte set).
 //!
 //! All four are pure rejects or skip-aheads of starts that provably
-//! fail, so the compiled program is **bit-identical** to the
-//! interpreter: same leftmost match, same captures, same
-//! [`find_trace`](CompiledRegex::find_trace) spans. The property suite
-//! in `tests/properties.rs` and the equivalence tests in
-//! `tests/compiled_equiv.rs` pin this down.
+//! fail, so the program answers exactly as a plain backtracking walk
+//! over the element list would: same leftmost match, same captures,
+//! same [`find_trace`](CompiledRegex::find_trace) spans. That plain
+//! walk is kept as the reference oracle in `hoiho_fuzz::oracle`; the
+//! `regex` fuzz target, the property suite in `tests/properties.rs` and
+//! the equivalence tests in `tests/compiled_equiv.rs` pin the program to
+//! it.
 
 use super::ast::{Elem, Regex};
-use super::matcher::MatchResult;
+
+/// A successful match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatchResult {
+    /// Byte range of the whole match within the hostname.
+    pub span: (usize, usize),
+    /// Byte ranges of each `(\d+)` capture, in element order.
+    pub captures: Vec<(usize, usize)>,
+}
+
+impl MatchResult {
+    /// The text of capture group `i` within `hostname`.
+    pub fn capture<'h>(&self, hostname: &'h str, i: usize) -> Option<&'h str> {
+        self.captures.get(i).map(|&(s, e)| &hostname[s..e])
+    }
+}
 
 /// A 256-bit byte membership table: one bit per byte value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,7 +391,7 @@ impl CompiledRegex {
     fn find_impl<S: Sink>(&self, hostname: &str, sink: &mut S) -> Option<(usize, usize)> {
         let h = hostname.as_bytes();
         // Pure rejects: each only skips hostnames the program provably
-        // cannot match, keeping results identical to the interpreter.
+        // cannot match, so results are unchanged.
         if let Some(lit) = &self.prefilter {
             if !contains_lit(h, lit) {
                 return None;
@@ -536,13 +551,6 @@ impl Sink for FirstCapSink {
     }
 }
 
-impl Regex {
-    /// Lowers this regex into its compiled form (see [`CompiledRegex`]).
-    pub fn compiled(&self) -> CompiledRegex {
-        CompiledRegex::compile(self)
-    }
-}
-
 /// Substring search specialised for short needles: scan for the first
 /// byte (the iterator `position` vectorises), then verify the rest.
 fn contains_lit(h: &[u8], lit: &[u8]) -> bool {
@@ -616,8 +624,8 @@ fn trace_prefix<S: Sink>(ops: &[COp], idx: usize, h: &[u8], mut pos: usize, n: u
     }
 }
 
-/// Mirrors `matcher::match_seq` over the flat program: a walk with
-/// greedy one-or-more components and backtracking on failure. `idx`
+/// The backtracking walk over the flat program: greedy one-or-more
+/// components, alternation options in order, backtracking on failure. `idx`
 /// addresses `ops[0]` within the full program for trace writes.
 /// Monomorphized per [`Sink`]; captures and traces never steer the
 /// walk, so every instantiation follows the identical path.
@@ -754,39 +762,6 @@ mod tests {
         Regex::parse(s).unwrap()
     }
 
-    /// Interpreter and compiled program agree on find, trace, extract.
-    // The interpreter (`find_interpreted`) is the oracle here: `Regex::find`
-    // itself now runs the compiled program, so comparing against it would
-    // be tautological.
-    fn assert_agrees(r: &Regex, host: &str) {
-        let c = CompiledRegex::compile(r);
-        assert_eq!(c.find(host), r.find_interpreted(host), "{r} on {host:?}");
-        assert_eq!(c.find_trace(host), r.find_trace_interpreted(host), "{r} on {host:?} (trace)");
-        let i_extract =
-            r.find_interpreted(host).and_then(|m| m.captures.first().map(|&(s, e)| &host[s..e]));
-        assert_eq!(c.extract(host), i_extract, "{r} on {host:?} (extract)");
-        assert_eq!(
-            c.is_match(host),
-            r.find_interpreted(host).is_some(),
-            "{r} on {host:?} (is_match)"
-        );
-        // The allocation-free sinks agree with the allocating ones.
-        assert_eq!(
-            c.match_capture(host),
-            c.find(host).map(|m| m.captures.first().copied()),
-            "{r} on {host:?} (match_capture)"
-        );
-        let mut spans = Vec::new();
-        let matched = c.find_trace_into(host, &mut spans);
-        match c.find_trace(host) {
-            Some((_, trace)) => {
-                assert!(matched, "{r} on {host:?} (find_trace_into missed)");
-                assert_eq!(spans, trace, "{r} on {host:?} (find_trace_into spans)");
-            }
-            None => assert!(!matched, "{r} on {host:?} (find_trace_into phantom)"),
-        }
-    }
-
     #[test]
     fn byteset_membership() {
         let digits = ByteSet::digits();
@@ -795,36 +770,6 @@ mod tests {
         }
         assert!(ByteSet::from_pred(|_| true).is_full());
         assert!(!ByteSet::EMPTY.is_full());
-    }
-
-    #[test]
-    fn paper_regexes_agree_on_corpus() {
-        let regexes = [
-            r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$",
-            r"^(\d+)-.+\.equinix\.com$",
-            r"as(\d+)\.nts\.ch$",
-            r"^(\d+)\.[a-z]+\d+\.example\.com$",
-            r"^(\d+)-[^-]+-[^-]+\.equinix\.com$",
-            r"[a-z\d]+\.as(\d+)\.example\.com$",
-        ];
-        let hosts = [
-            "p714.sgw.equinix.com",
-            "s24115.tyo.equinix.com",
-            "24482-fr5-ix.equinix.com",
-            "ge0-2.01.p.ost.ch.as15576.nts.ch",
-            "netflix.zh2.corp.eu.equinix.com",
-            "605.pop7.example.com",
-            "abc1.as100.example.com",
-            "",
-            "equinix.com",
-            "x.y",
-        ];
-        for r in &regexes {
-            let r = rx(r);
-            for h in &hosts {
-                assert_agrees(&r, h);
-            }
-        }
     }
 
     #[test]
@@ -843,34 +788,16 @@ mod tests {
         assert!(c.find("714.x.com.evil.net").is_none());
     }
 
+    /// Agreement with the reference walk on these regexes is checked in
+    /// `tests/compiled_equiv.rs`; here only the compiled screens.
     #[test]
     fn start_set_prunes_only_impossible_offsets() {
         // `as(\d+)` can only start at an `a`.
-        let r = rx(r"as(\d+)");
-        let c = CompiledRegex::compile(&r);
-        assert!(c.start_set.is_some());
-        for host in ["xxas123yy", "as1", "bs2", "aas5", "a", ""] {
-            assert_agrees(&r, host);
-        }
-    }
-
-    #[test]
-    fn optional_first_element_scans_every_offset() {
-        // An optional alternation first: zero-width at any offset, so
+        let c = CompiledRegex::compile(&rx(r"as(\d+)"));
+        assert_eq!(c.start_set.map(|s| (s.contains(b'a'), s.contains(b'b'))), Some((true, false)));
+        // An optional alternation first is zero-width at any offset, so
         // no start pruning is sound.
-        let r = rx(r"(?:p|s)?(\d+)");
-        let c = CompiledRegex::compile(&r);
-        assert!(c.start_set.is_none() || !matches!(r.elems()[0], Elem::Alt(_)));
-        for host in ["p714", "714", "x714", "sp12", ""] {
-            assert_agrees(&r, host);
-        }
-    }
-
-    #[test]
-    fn empty_regex_matches_empty_at_zero() {
-        let r = Regex::new(vec![]);
-        assert_agrees(&r, "");
-        assert_agrees(&r, "abc");
+        assert!(CompiledRegex::compile(&rx(r"(?:p|s)?(\d+)")).start_set.is_none());
     }
 
     #[test]
@@ -914,17 +841,5 @@ mod tests {
         let c = CompiledRegex::compile(&rx(r"(?:p|s)?(\d+)\.[a-z]+"));
         let lits: Vec<&[u8]> = c.required_literals().collect();
         assert_eq!(lits, vec![&b"."[..]]);
-    }
-
-    #[test]
-    fn backtracking_and_captures_identical() {
-        // Digit run split across capture and literal backtracks the
-        // same way in both engines.
-        for r in [r"(\d+)1\.x$", r"^[^\.]+(\d+)$", r"(\d+)(\d+)x"] {
-            let r = rx(r);
-            for host in ["12341.x", "abc123", "1231x", "11x", "1x"] {
-                assert_agrees(&r, host);
-            }
-        }
     }
 }

@@ -15,32 +15,27 @@
 //! * the wildcard `.+` (at most one per regex by construction);
 //! * string alternations `(?:p|s)` and optional alternations `(?:p|s)?`.
 //!
-//! The engine is a plain backtracking matcher over the element AST —
-//! hostnames are short (rarely beyond 80 bytes) and the dialect has no
-//! nested repetition, so worst-case backtracking is shallow and bounded.
-//! The AST round-trips through the textual form ([`Regex::parse`] /
-//! `Display`), which the property tests pin down.
-
-//!
-//! For hot paths (learner candidate evaluation, the serving tier) the
-//! AST can be lowered once into a [`CompiledRegex`] — a flat program
-//! with precomputed byte-class bitmasks and literal prefilters that is
-//! bit-identical to the interpreter but allocation-free per call. When
-//! a whole *pool* of compiled programs is evaluated against shared
-//! hostnames, a [`MultiMatcher`] (an Aho–Corasick automaton over every
-//! program's required literals) scans each hostname once and dispatches
-//! only to the programs that could possibly match it.
+//! Every regex matches through its compiled form, a [`CompiledRegex`]
+//! cached on the [`Regex`] at first use: a flat backtracking program with
+//! precomputed byte-class bitmasks, literal prefilters and one-byte
+//! lookahead, allocation-free per call. Hostnames are short (rarely
+//! beyond 80 bytes) and the dialect has no nested repetition, so
+//! worst-case backtracking is shallow and bounded. The AST round-trips
+//! through the textual form ([`Regex::parse`] / `Display`), which the
+//! property tests pin down. When a whole *pool* of compiled programs is
+//! evaluated against shared hostnames, a [`MultiMatcher`] (an
+//! Aho–Corasick automaton over every program's required literals) scans
+//! each hostname once and dispatches only to the programs that could
+//! possibly match it.
 
 mod ast;
 mod compiled;
-mod matcher;
 mod multi;
 mod parse;
 
 pub(crate) use ast::render_elems;
 pub use ast::{AltGroup, CharClass, Elem, Regex};
-pub use compiled::CompiledRegex;
-pub use matcher::MatchResult;
+pub use compiled::{CompiledRegex, MatchResult};
 pub use multi::{DispatchScratch, MultiMatcher};
 pub use parse::ParseError;
 

@@ -418,7 +418,7 @@ mod tests {
     use super::*;
 
     fn programs(patterns: &[&str]) -> Vec<CompiledRegex> {
-        patterns.iter().map(|p| Regex::parse(p).unwrap().compiled()).collect()
+        patterns.iter().map(|p| CompiledRegex::compile(&Regex::parse(p).unwrap())).collect()
     }
 
     /// Brute-force oracle: dispatch must include every program that

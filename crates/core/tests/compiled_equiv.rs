@@ -1,21 +1,27 @@
-//! Equivalence oracles for the two-layer candidate-evaluation engine:
+//! Equivalence checks for the compiled regex engine and the §3.1
+//! classification built on it:
 //!
-//! * compiled classification (`classify_host_compiled`,
-//!   `evaluate_compiled`, `regex_hit`) against the interpreter on
-//!   corpora that exercise every §3.1 rule — typo congruence,
-//!   embedded-IP overlap, oversized digit runs;
-//! * `learn_all` with the outcome matrix on vs off: identical
-//!   `LearnedConvention`s on a fixed-seed synthetic Internet, and a
-//!   fixed-seed determinism check on the default (matrix) path.
+//! * the compiled program against the tree-walking interpreter
+//!   (`hoiho_fuzz::oracle`) on `find`, `find_trace`, `extract` and
+//!   `is_match`, plus the allocation-free entry points against the
+//!   allocating ones, on fixed regexes and hostnames;
+//! * classification (`classify_host`, `evaluate`, `regex_hit_cached`)
+//!   against the interpreter's classification on corpora that exercise
+//!   every §3.1 rule — typo congruence, embedded-IP overlap, oversized digit
+//!   runs;
+//! * `CompiledConvention` against the interpreter's first-match-wins
+//!   extraction.
+//!
+//! The whole-pipeline gates (outcome matrix vs the direct sets oracle,
+//! dispatched vs undispatched columns, fixed-seed determinism) need the
+//! learner's private sets builders and live with its unit tests in
+//! `src/learner.rs`.
 
-use hoiho::eval::{
-    classify_host, classify_host_compiled, classify_host_interpreted, evaluate, evaluate_compiled,
-    evaluate_interpreted, regex_hit,
-};
-use hoiho::learner::{learn_all, LearnConfig, LearnedConvention};
+use hoiho::convention::NamingConvention;
+use hoiho::eval::{classify_host, evaluate, negative_outcome, regex_hit_cached};
 use hoiho::regex::{CompiledRegex, Regex};
-use hoiho::training::{HostObs, Observation, TrainingSet};
-use hoiho_psl::PublicSuffixList;
+use hoiho::training::{HostObs, Observation};
+use hoiho_fuzz::oracle;
 
 fn rx(s: &str) -> Regex {
     Regex::parse(s).unwrap()
@@ -68,121 +74,164 @@ fn tricky_sets() -> Vec<Vec<Regex>> {
 fn compiled_classification_equals_interpreter_on_tricky_corpora() {
     let hosts = tricky_hosts();
     for set in tricky_sets() {
-        let programs: Vec<CompiledRegex> = set.iter().map(CompiledRegex::compile).collect();
         for h in &hosts {
-            // `classify_host` itself runs cached compiled programs now, so
-            // the tree-walking interpreter (`classify_host_interpreted`)
-            // is the real oracle; the default path must agree with both.
-            let oracle = classify_host_interpreted(&set, h);
-            assert_eq!(
-                oracle,
-                classify_host_compiled(&programs, h),
-                "set {set:?} on {:?}",
-                h.hostname
-            );
-            assert_eq!(oracle, classify_host(&set, h), "set {set:?} on {:?}", h.hostname);
+            let want = oracle::classify_host(&set, h);
+            assert_eq!(want, classify_host(&set, h), "set {set:?} on {:?}", h.hostname);
         }
-        let oracle_counts = evaluate_interpreted(&set, &hosts);
-        assert_eq!(oracle_counts, evaluate_compiled(&programs, &hosts), "{set:?}");
-        assert_eq!(oracle_counts, evaluate(&set, &hosts), "{set:?}");
+        assert_eq!(oracle::evaluate(&set, &hosts), evaluate(&set, &hosts), "{set:?}");
     }
 }
 
-/// `regex_hit` is the single-regex column cell: `Some(outcome)` exactly
-/// when a one-regex set would resolve the host, with the same outcome.
+/// `regex_hit_cached` is the single-regex column cell: `Some(outcome)`
+/// exactly when a one-regex set would resolve the host, with the same
+/// outcome, also when a set's regexes share one host's span cache.
 #[test]
 fn regex_hit_agrees_with_single_regex_classification() {
     let hosts = tricky_hosts();
     for set in tricky_sets() {
-        for r in &set {
-            let p = CompiledRegex::compile(r);
-            let single = std::slice::from_ref(r);
-            for h in &hosts {
-                let full = classify_host(single, h);
-                match regex_hit(&p, h) {
-                    Some(o) => assert_eq!(o, full, "{r} on {:?}", h.hostname),
-                    None => assert_eq!(
-                        full,
-                        hoiho::eval::negative_outcome(h),
-                        "{r} on {:?}",
-                        h.hostname
-                    ),
-                }
+        for h in &hosts {
+            let mut cache = None;
+            for r in &set {
+                let want = oracle::classify_host(std::slice::from_ref(r), h);
+                let got = regex_hit_cached(r.program(), h, &mut cache)
+                    .unwrap_or_else(|| negative_outcome(h));
+                assert_eq!(got, want, "{r} on {:?}", h.hostname);
             }
         }
     }
 }
 
-/// Ground-truth training set from the tiny synthetic Internet at a
-/// fixed seed (the same generator `hoiho learn --sim` uses).
-fn sim_groups(seed: u64) -> Vec<hoiho::training::SuffixTraining> {
-    let internet = hoiho_netsim::Internet::generate(&hoiho_netsim::SimConfig::tiny(seed));
-    let mut ts = TrainingSet::new();
-    for (iface, owner) in internet.named_interfaces() {
-        let hostname = iface.hostname.as_deref().expect("named interface has a hostname");
-        ts.push(Observation::new(hostname, iface.addr.to_be_bytes(), owner));
+/// The compiled program agrees with the interpreter on `find`,
+/// `find_trace`, `extract` and `is_match`, and its allocation-free entry
+/// points (`match_capture`, `find_trace_into`) with its allocating ones.
+fn assert_agrees(r: &Regex, host: &str) {
+    let c = CompiledRegex::compile(r);
+    let want = oracle::find(r, host);
+    assert_eq!(c.find(host), want, "{r} on {host:?}");
+    assert_eq!(c.find_trace(host), oracle::find_trace(r, host), "{r} on {host:?} (trace)");
+    let want_extract = want.as_ref().and_then(|m| m.capture(host, 0));
+    assert_eq!(c.extract(host), want_extract, "{r} on {host:?} (extract)");
+    assert_eq!(c.is_match(host), want.is_some(), "{r} on {host:?} (is_match)");
+    // The `Regex` entry points run the same program.
+    assert_eq!(r.find(host), want, "{r} on {host:?} (Regex::find)");
+    assert_eq!(r.extract(host), want_extract, "{r} on {host:?} (Regex::extract)");
+    assert_eq!(r.is_match(host), want.is_some(), "{r} on {host:?} (Regex::is_match)");
+    assert_eq!(
+        c.match_capture(host),
+        c.find(host).map(|m| m.captures.first().copied()),
+        "{r} on {host:?} (match_capture)"
+    );
+    let mut spans = Vec::new();
+    let matched = c.find_trace_into(host, &mut spans);
+    match c.find_trace(host) {
+        Some((_, trace)) => {
+            assert!(matched, "{r} on {host:?} (find_trace_into missed)");
+            assert_eq!(spans, trace, "{r} on {host:?} (find_trace_into spans)");
+        }
+        None => assert!(!matched, "{r} on {host:?} (find_trace_into phantom)"),
     }
-    ts.by_suffix(&PublicSuffixList::builtin())
 }
 
-fn assert_identical(a: &[LearnedConvention], b: &[LearnedConvention]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.convention, y.convention, "regex lists differ for {}", x.convention.suffix);
-        assert_eq!(x.convention.to_string(), y.convention.to_string());
-        assert_eq!(x.counts, y.counts, "counts differ for {}", x.convention.suffix);
-        assert_eq!(x.class, y.class);
-        assert_eq!(x.single, y.single);
-        assert_eq!(x.taxonomy, y.taxonomy);
-        assert_eq!(x.hostnames, y.hostnames);
+#[test]
+fn paper_regexes_agree_on_corpus() {
+    let regexes = [
+        r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$",
+        r"^(\d+)-.+\.equinix\.com$",
+        r"as(\d+)\.nts\.ch$",
+        r"^(\d+)\.[a-z]+\d+\.example\.com$",
+        r"^(\d+)-[^-]+-[^-]+\.equinix\.com$",
+        r"[a-z\d]+\.as(\d+)\.example\.com$",
+    ];
+    let hosts = [
+        "p714.sgw.equinix.com",
+        "s24115.tyo.equinix.com",
+        "24482-fr5-ix.equinix.com",
+        "ge0-2.01.p.ost.ch.as15576.nts.ch",
+        "netflix.zh2.corp.eu.equinix.com",
+        "605.pop7.example.com",
+        "abc1.as100.example.com",
+        "",
+        "equinix.com",
+        "x.y",
+    ];
+    for r in &regexes {
+        let r = rx(r);
+        for h in &hosts {
+            assert_agrees(&r, h);
+        }
     }
 }
 
-/// The outcome-matrix fast path changes nothing: whole-pipeline output
-/// on a fixed-seed synthetic Internet is identical with the matrix on
-/// (default) and off (the direct re-evaluation oracle).
+/// `as(\d+)` prunes start offsets to `a` bytes; the pruning only skips
+/// offsets that cannot match.
 #[test]
-fn learn_all_identical_with_outcome_matrix_on_and_off() {
-    let groups = sim_groups(42);
-    assert!(!groups.is_empty(), "tiny sim must yield suffix groups");
-    let on_cfg = LearnConfig { threads: 1, ..LearnConfig::default() };
-    assert!(on_cfg.sets.outcome_matrix, "matrix is the default");
-    let mut off_cfg = on_cfg;
-    off_cfg.sets.outcome_matrix = false;
-    let on = learn_all(&groups, &on_cfg);
-    let off = learn_all(&groups, &off_cfg);
-    assert!(!on.is_empty(), "sim training must learn something");
-    assert_identical(&on, &off);
+fn start_set_pruning_agrees_with_interpreter() {
+    let r = rx(r"as(\d+)");
+    for host in ["xxas123yy", "as1", "bs2", "aas5", "a", ""] {
+        assert_agrees(&r, host);
+    }
 }
 
-/// Aho–Corasick literal dispatch changes nothing either: `learn_all`
-/// output on the fixed-seed synthetic Internet is identical with the
-/// multi-matcher on (default) and off (PR 5's per-regex column build).
-/// `scripts/tier1.sh` runs this test by name as the equivalence gate.
+/// An optional first alternation is zero-width at any offset, so every
+/// offset is scanned.
 #[test]
-fn learn_all_identical_with_multi_matcher_on_and_off() {
-    let groups = sim_groups(42);
-    assert!(!groups.is_empty(), "tiny sim must yield suffix groups");
-    let mut on_cfg = LearnConfig { threads: 1, ..LearnConfig::default() };
-    assert!(on_cfg.sets.multi_matcher, "literal dispatch is the default");
-    // Pin the dispatch path: the sim's small suffixes sit below the
-    // default `multi_matcher_min_cells`, which would silently route
-    // both sides through the per-regex build and test nothing.
-    on_cfg.sets.multi_matcher_min_cells = 0;
-    let mut off_cfg = on_cfg;
-    off_cfg.sets.multi_matcher = false;
-    let on = learn_all(&groups, &on_cfg);
-    let off = learn_all(&groups, &off_cfg);
-    assert!(!on.is_empty(), "sim training must learn something");
-    assert_identical(&on, &off);
+fn optional_first_element_agrees_with_interpreter() {
+    let r = rx(r"(?:p|s)?(\d+)");
+    for host in ["p714", "714", "x714", "sp12", ""] {
+        assert_agrees(&r, host);
+    }
 }
 
-/// Fixed seed, fixed config ⇒ byte-identical output run to run.
 #[test]
-fn learn_all_matrix_path_is_deterministic() {
-    let groups = sim_groups(7);
-    let cfg = LearnConfig::default();
-    let a = learn_all(&groups, &cfg);
-    let b = learn_all(&groups, &cfg);
-    assert_identical(&a, &b);
+fn empty_regex_matches_empty_at_zero() {
+    let r = Regex::new(vec![]);
+    assert_agrees(&r, "");
+    assert_agrees(&r, "abc");
+}
+
+/// A digit run split across capture and literal backtracks the same way
+/// in both engines.
+#[test]
+fn backtracking_and_captures_identical() {
+    for r in [r"(\d+)1\.x$", r"^[^\.]+(\d+)$", r"(\d+)(\d+)x"] {
+        let r = rx(r);
+        for host in ["12341.x", "abc123", "1231x", "11x", "1x"] {
+            assert_agrees(&r, host);
+        }
+    }
+}
+
+/// `CompiledConvention` and `NamingConvention` extract what the
+/// interpreter's first-match-wins walk does: the first regex matching
+/// with a capture decides, and digits past the 32-bit ASN space yield
+/// `None`.
+#[test]
+fn compiled_convention_matches_interpreter() {
+    let c = NamingConvention::new(
+        "equinix.com",
+        vec![
+            rx(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),
+            rx(r"^(\d+)-.+\.equinix\.com$"),
+        ],
+    );
+    let cc = c.compile();
+    assert_eq!(cc.suffix(), "equinix.com");
+    for h in [
+        "p714.sgw.equinix.com",
+        "24482-fr5-ix.equinix.com",
+        "netflix.zh2.corp.eu.equinix.com",
+        "S714.SGW.EQUINIX.COM",
+        "99999999999.sgw.equinix.com",
+        "",
+    ] {
+        let lower = h.to_ascii_lowercase();
+        let digits = c.regexes.iter().find_map(|r| oracle::find(r, &lower)?.capture(&lower, 0));
+        let want = digits.and_then(|d| d.parse::<u32>().ok());
+        let matches = c.regexes.iter().any(|r| oracle::find(r, &lower).is_some());
+        assert_eq!(cc.extract(h), want, "{h:?}");
+        assert_eq!(cc.extract_lower(&lower), want, "{h:?}");
+        assert_eq!(c.extract(h), want, "{h:?}");
+        assert_eq!(cc.matches(h), matches, "{h:?}");
+        assert_eq!(c.matches(h), matches, "{h:?}");
+    }
 }

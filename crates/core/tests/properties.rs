@@ -12,6 +12,7 @@ use hoiho::regex::{AltGroup, CharClass, CompiledRegex, Elem, MultiMatcher, Regex
 use hoiho::training::{HostObs, Observation, TrainingSet};
 use hoiho_devkit::prop::{any, just, one_of, string_of, vec_of, Gen};
 use hoiho_devkit::{prop_assert, prop_assert_eq, props};
+use hoiho_fuzz::oracle;
 use hoiho_psl::PublicSuffixList;
 
 const LOWER_DIGIT: &str = "abcdefghijklmnopqrstuvwxyz0123456789";
@@ -182,13 +183,13 @@ props! {
             "",
         ];
         for host in hosts {
-            // `find_interpreted` is the oracle: `Regex::find` itself now
-            // runs the cached compiled program.
-            let oracle = r.find_interpreted(host);
+            // The tree-walking interpreter is the oracle: `Regex::find`
+            // itself runs the cached compiled program.
+            let oracle = oracle::find(&r, host);
             let oracle_extract =
                 oracle.as_ref().and_then(|m| m.captures.first().map(|&(s, e)| &host[s..e]));
             prop_assert_eq!(c.find(host), oracle.clone());
-            prop_assert_eq!(c.find_trace(host), r.find_trace_interpreted(host));
+            prop_assert_eq!(c.find_trace(host), oracle::find_trace(&r, host));
             prop_assert_eq!(c.extract(host), oracle_extract);
             prop_assert_eq!(c.is_match(host), oracle.is_some());
         }

@@ -12,6 +12,9 @@
 //!
 //! * [`targets`] — the registry; one [`targets::Target`] per surface
 //!   with its oracle (see the module's oracle table).
+//! * [`oracle`] — reference implementations kept out of production: the
+//!   tree-walking regex interpreter and the §3.1 classification on it,
+//!   shared by the `regex` target and the `hoiho` equivalence tests.
 //! * [`runner`] — the deterministic fuzz loop, panic capture,
 //!   case-level minimization, and corpus replay.
 //! * [`corpus`] — the checked-in `fuzz/corpus/` exact-input regression
@@ -23,6 +26,7 @@
 
 pub mod corpus;
 pub mod input;
+pub mod oracle;
 pub mod runner;
 pub mod targets;
 

@@ -3,7 +3,7 @@
 //!
 //! | target   | surface                       | oracle                                            |
 //! |----------|-------------------------------|---------------------------------------------------|
-//! | regex    | `Regex::parse` + compile      | compiled vs interpreted `find`/`find_trace`, display→parse fixpoint |
+//! | regex    | `Regex::parse` + compile      | compiled `find`/`find_trace` vs the [`crate::oracle`] interpreter, display→parse fixpoint |
 //! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, mask/scratch agreement) |
 //! | artifact | `Model::parse`                | render fixpoint + sharded(N) vs single engine answers |
 //! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |

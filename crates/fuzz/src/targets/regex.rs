@@ -1,5 +1,5 @@
-//! Regex surface: `Regex::parse`, the display form, and the
-//! compiled-vs-interpreted matchers.
+//! Regex surface: `Regex::parse`, the display form, and the compiled
+//! matcher against the tree-walking interpreter in [`crate::oracle`].
 //!
 //! Case layout: line 1 is the pattern, every following line is a
 //! haystack. Oracle, for parse-accepted patterns:
@@ -8,13 +8,14 @@
 //!    is a faithful serialization of the parsed AST);
 //! 2. on every haystack, the compiled program ([`Regex::find`],
 //!    [`Regex::find_trace`]) and the tree-walking interpreter
-//!    ([`Regex::find_interpreted`], [`Regex::find_trace_interpreted`])
+//!    ([`oracle::find`], [`oracle::find_trace`])
 //!    return identical answers — the redundancy the paper's pipeline
 //!    depends on (PAPER §3: extraction semantics must be identical in
 //!    every tier).
 
 use super::{Target, HOSTCHARS};
 use crate::input::FuzzInput;
+use crate::oracle;
 use hoiho::regex::Regex;
 
 /// Grammar pieces a syntactically-plausible pattern is assembled from.
@@ -111,14 +112,14 @@ impl Target for RegexTarget {
         }
         for hay in lines {
             let compiled = re.find(hay);
-            let interpreted = re.find_interpreted(hay);
+            let interpreted = oracle::find(&re, hay);
             if compiled != interpreted {
                 return Err(format!(
                     "find divergence on {pattern:?} / {hay:?}: compiled {compiled:?} vs interpreted {interpreted:?}"
                 ));
             }
             let compiled = re.find_trace(hay);
-            let interpreted = re.find_trace_interpreted(hay);
+            let interpreted = oracle::find_trace(&re, hay);
             if compiled != interpreted {
                 return Err(format!(
                     "find_trace divergence on {pattern:?} / {hay:?}: compiled {compiled:?} vs interpreted {interpreted:?}"

@@ -4,15 +4,19 @@
 #   2. A clean offline release build of the whole workspace, including
 #      every example and binary.
 #   3. The full test suite, offline, then the suites of the crates the
-#      root package does not cover (hoiho-psl, hoiho-serve,
-#      hoiho-cluster, hoiho-fuzz), then the substrate suites
+#      root package does not cover (hoiho — including the compiled-vs-
+#      interpreter regex and classification oracles — hoiho-psl,
+#      hoiho-serve, hoiho-cluster, hoiho-fuzz), then the substrate suites
 #      (hoiho-asdb, hoiho-netsim, hoiho-bdrmap, hoiho-itdk, hoiho-pdb:
 #      including the golden traceroute digest and the byte-identity of
 #      the dense-table traceroute, alias resolution and router graph
-#      against their ordered-map oracles), then the multi-matcher equivalence
-#      gate by name: fixed-seed `learn_all` output must be byte-identical
-#      with Aho–Corasick literal dispatch on (default) and off (the
-#      per-regex column build kept as the oracle).
+#      against their ordered-map oracles), then the learner's two
+#      whole-pipeline equivalence gates by name: on a fixed-seed
+#      synthetic Internet, the learned conventions must be byte-identical
+#      (i) with the direct re-evaluating sets oracle and with the
+#      outcome matrix built through Aho–Corasick literal dispatch, and
+#      (ii) with every matrix cell evaluated and with every column built
+#      through dispatch.
 #   4. A live smoke test of the serving subsystem: learn a model from a
 #      simulated snapshot, serve it over TCP, drive one query + STATS,
 #      and shut down cleanly.
@@ -62,16 +66,20 @@ cd "$(dirname "$0")/.."
 ./scripts/no-external-deps.sh
 cargo build --release --offline --workspace --examples --bins
 cargo test -q --offline
-cargo test -q --offline -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz
+cargo test -q --offline -p hoiho -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz
 cargo test -q --offline -p hoiho-asdb -p hoiho-netsim -p hoiho-bdrmap -p hoiho-itdk -p hoiho-pdb
 
-# --- multi-matcher equivalence gate: dispatch on vs off, by name, so a
-# filter typo in the suite can never silently drop it ---
-cargo test -q --offline -p hoiho --test compiled_equiv \
-    learn_all_identical_with_multi_matcher_on_and_off -- --exact \
+# --- learner equivalence gates, by name, so a filter typo in the suite
+# can never silently drop them ---
+cargo test -q --offline -p hoiho --lib \
+    learner::tests::learn_identical_with_direct_and_dispatch_sets -- --exact \
     | grep -q "1 passed" \
-    || { echo "tier1: multi-matcher equivalence gate did not run/pass" >&2; exit 1; }
-echo "tier1: multi-matcher on/off equivalence gate OK"
+    || { echo "tier1: direct-vs-matrix sets equivalence gate did not run/pass" >&2; exit 1; }
+cargo test -q --offline -p hoiho --lib \
+    learner::tests::learn_identical_with_undispatched_and_dispatched_columns -- --exact \
+    | grep -q "1 passed" \
+    || { echo "tier1: undispatched-vs-dispatched columns equivalence gate did not run/pass" >&2; exit 1; }
+echo "tier1: learner sets equivalence gates OK"
 
 # --- fuzz tier smoke: corpus replay + a short fixed-seed run ---
 FUZZ=target/release/hoiho-fuzz
