@@ -9,14 +9,13 @@
 //! in `scripts/tier1.sh`'s bench pass expects at 50% or better.
 
 use hoiho::learner::{learn_all, LearnConfig};
-use hoiho_cluster::{split, ShardRouter};
 use hoiho_devkit::bench::{Harness, Throughput};
 use hoiho_devkit::rng::StdRng;
 use hoiho_devkit::SeedableRng;
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
 use hoiho_psl::PublicSuffixList;
-use hoiho_serve::{Engine, Model};
+use hoiho_serve::{split, Engine, Model, ShardRouter};
 use std::hint::black_box;
 
 /// Hostname universe size (distinct keys the stream draws from).

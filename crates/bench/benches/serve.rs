@@ -9,10 +9,9 @@ use hoiho::learner::{learn_all, LearnConfig};
 use hoiho_devkit::bench::{Harness, Throughput};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
-use hoiho_obs::Obs;
 use hoiho_psl::PublicSuffixList;
 use hoiho_serve::server::Client;
-use hoiho_serve::{Engine, Model, ServerHandle, MIN_BATCH_CHUNK};
+use hoiho_serve::{Engine, Model, ServerHandle, ShardRouter, MIN_BATCH_CHUNK};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -90,8 +89,8 @@ fn bench_extraction(h: &mut Harness, model: &Model, hostnames: &[String]) {
 }
 
 fn bench_tcp(h: &mut Harness, model: &Model, hostnames: &[String]) {
-    let engine = Arc::new(Engine::new(model));
-    let srv = ServerHandle::start("127.0.0.1:0", engine, 2).expect("bind bench server");
+    let router = Arc::new(ShardRouter::new(std::slice::from_ref(model), 0).expect("router"));
+    let srv = ServerHandle::start("127.0.0.1:0", router, 2).expect("bind bench server");
     let mut client = Client::connect(srv.local_addr()).expect("connect");
     let batch: Vec<&String> = hostnames.iter().take(256).collect();
     let mut g = h.benchmark_group("serve/tcp");
@@ -129,11 +128,9 @@ fn bench_tcp(h: &mut Harness, model: &Model, hostnames: &[String]) {
     // the sampled-tracing overhead row the --slo bench diff pairs with
     // socket_batch (DESIGN §7i budgets it at <5%). A fresh server so
     // the untraced run above never shares a sampler branch.
-    let obs = Arc::new(Obs::new());
-    obs.sampler().configure(64, 2020);
-    let engine = Arc::new(Engine::new(model));
-    let srv = ServerHandle::start_obs("127.0.0.1:0", engine, 2, obs)
-        .expect("bind traced bench server");
+    let router = Arc::new(ShardRouter::new(std::slice::from_ref(model), 0).expect("router"));
+    router.obs().sampler().configure(64, 2020);
+    let srv = ServerHandle::start("127.0.0.1:0", router, 2).expect("bind traced bench server");
     let mut client = Client::connect(srv.local_addr()).expect("connect");
     // Warmup: the untraced server above entered its socket_batch
     // rounds with regexes already compiled by the earlier roundtrip

@@ -7,8 +7,8 @@
 //! hoiho-serve query <model-file> [hostname ...]    extract (args or stdin)
 //! hoiho-serve shard <model-file> <N> <out-dir>     split into N shard artifacts + manifest
 //! hoiho-serve serve <model-file> <addr> [workers]  run the TCP server
-//!       [--shards N] [--cache-capacity K]          ... as an N-shard cluster with a
-//!                                                  bounded response cache
+//!       [--shards N] [--cache-capacity K]          ... over N shards (default 1) with a
+//!                                                  K-entry response cache (default 0: off)
 //!       [--trace-sample N] [--trace-seed S]        ... tracing every Nth request with
 //!                                                  ids seeded by S (default seed 0)
 //!       [--slo FILE]                               ... objectives from FILE instead of
@@ -46,19 +46,18 @@
 //! and trains on bdrmapIT-inferred ownership, the workspace's standard
 //! netsim→learner pipeline. The server speaks the line protocol
 //! documented in `hoiho_serve::server` (hostname per line, plus
-//! `BATCH <n>`, `STATS`, `STATS SUFFIX`, `METRICS`, `EVENTS [n]`,
-//! `SHUTDOWN`; single-engine servers take `RELOAD <path>`, cluster servers
-//! `RELOAD SHARD <k> <path>` and `STATS CLUSTER`). A clustered server
-//! shares one observability context between the protocol layer and the
-//! shard router, so `METRICS` reports request counters, latency
-//! histograms, and per-shard cache traffic in one document. `shard`
-//! materializes the same partition the clustered server builds in
-//! memory, for inspection or distribution.
+//! `BATCH <n>`, `STATS`, `STATS SUFFIX`, `STATS CLUSTER`, `METRICS`,
+//! `EVENTS [n]`, `RELOAD SHARD <k> <path>` — `RELOAD <path>` on one
+//! shard — and `SHUTDOWN`). Every server runs the shard router, whose
+//! observability context the protocol layer shares, so `METRICS`
+//! reports request counters, latency histograms, dispatch outcomes and
+//! per-shard traffic in one document. `shard` materializes the same
+//! partition a server with `--shards N` builds in memory, for
+//! inspection or distribution.
 
 use hoiho::learner::{learn_all, LearnConfig};
 use hoiho::quality::QualityCounts;
 use hoiho::training::{Observation, TrainingSet};
-use hoiho_cluster::{shard_file_name, split, ClusterBackend, ShardRouter, SHARDMAP_FILE_NAME};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
 use hoiho_obs::{slo, span, Histogram, Obs};
@@ -67,7 +66,9 @@ use hoiho_scenario::compile::{ground_truth_rows, truth_suffixes};
 use hoiho_scenario::matrix::render_scenarios_json;
 use hoiho_scenario::{Scenario, ScenarioQuality};
 use hoiho_serve::server::Client;
-use hoiho_serve::{Engine, Model, ServerHandle};
+use hoiho_serve::{
+    shard_file_name, split, Engine, Model, ServerHandle, ShardRouter, SHARDMAP_FILE_NAME,
+};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -481,16 +482,7 @@ fn query(path: &str, hosts: &[&str]) -> Result<(), String> {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut answer = |hostname: &str| {
-        let x = engine.extract(hostname);
-        let (suffix, class) = match x.nc {
-            Some(i) => {
-                let nc = &engine.conventions()[i];
-                (nc.suffix.as_str(), nc.class.label())
-            }
-            None => ("-", "-"),
-        };
-        let asn = x.asn.map_or_else(|| "-".to_string(), |a| a.to_string());
-        writeln!(out, "{hostname}\t{asn}\t{suffix}\t{class}").ok();
+        writeln!(out, "{hostname}\t{}", engine.answer(hostname).render_fields()).ok();
     };
     if hosts.is_empty() {
         for line in std::io::stdin().lock().lines() {
@@ -530,19 +522,18 @@ fn shard(path: &str, n: u32, outdir: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the server's observability context from the command line:
-/// the trace sampler (off unless `--trace-sample` is given) and the
-/// SLO objectives (`--slo FILE`, else the built-in defaults already
-/// installed by `Obs::new`).
-fn configured_obs(flags: &ClusterFlags) -> Result<Arc<Obs>, String> {
-    let obs = Arc::new(Obs::new());
+/// Configures the server's observability context from the command
+/// line: the trace sampler (off unless `--trace-sample` is given) and
+/// the SLO objectives (`--slo FILE`, else the built-in defaults
+/// already installed by `Obs::new`).
+fn configure_obs(obs: &Obs, flags: &ClusterFlags) -> Result<(), String> {
     if let Some(every) = flags.trace_sample {
         obs.sampler().configure(every, flags.trace_seed.unwrap_or(0));
     }
     if let Some(path) = flags.slo.as_deref() {
         obs.slo().set_objectives(load_objectives(path)?);
     }
-    Ok(obs)
+    Ok(())
 }
 
 /// Reads and parses an SLO objective file.
@@ -554,42 +545,23 @@ fn load_objectives(path: &str) -> Result<Vec<slo::Objective>, String> {
 
 fn serve(path: &str, addr: &str, workers: usize, flags: &ClusterFlags) -> Result<(), String> {
     let model = Model::load(path).map_err(|e| e.to_string())?;
-    // One observability context for all layers: the router's
-    // per-shard/cache series, the server's request series, and the
-    // trace/profile/SLO state land in the same verbs.
-    let obs = configured_obs(flags)?;
-    let tracing = match obs.sampler().every() {
+    let shards = flags.shards.unwrap_or(1);
+    let capacity = flags.cache_capacity.unwrap_or(0);
+    let router =
+        Arc::new(ShardRouter::from_model(&model, shards, capacity).map_err(|e| e.to_string())?);
+    configure_obs(router.obs(), flags)?;
+    let tracing = match router.obs().sampler().every() {
         0 => String::new(),
         every => format!(", tracing 1 in {every}"),
     };
-    let srv = if flags.shards.is_some() || flags.cache_capacity.is_some() {
-        let shards = flags.shards.unwrap_or(1);
-        let capacity = flags.cache_capacity.unwrap_or(0);
-        let router = Arc::new(
-            ShardRouter::from_model_obs(&model, shards, capacity, Arc::clone(&obs))
-                .map_err(|e| e.to_string())?,
-        );
-        let backend = Arc::new(ClusterBackend::new(router));
-        let srv = ServerHandle::start_with_backend_obs(addr, backend, workers, obs)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        eprintln!(
-            "serving {} conventions across {shards} shards (cache capacity {capacity}) on {}{tracing} \
-             (send SHUTDOWN to stop, RELOAD SHARD <k> <path> to hot-swap one shard)",
-            model.len(),
-            srv.local_addr()
-        );
-        srv
-    } else {
-        let engine = Arc::new(Engine::new(&model));
-        let srv = ServerHandle::start_obs(addr, engine, workers, obs)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        eprintln!(
-            "serving {} conventions on {}{tracing} (send SHUTDOWN to stop, RELOAD <path> to hot-swap)",
-            model.len(),
-            srv.local_addr()
-        );
-        srv
-    };
+    let srv = ServerHandle::start(addr, router, workers)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    eprintln!(
+        "serving {} conventions across {shards} shards (cache capacity {capacity}) on {}{tracing} \
+         (send SHUTDOWN to stop, RELOAD SHARD <k> <path> to hot-swap one shard)",
+        model.len(),
+        srv.local_addr()
+    );
     srv.join();
     eprintln!("server stopped");
     Ok(())

@@ -1,35 +1,12 @@
-//! # hoiho-cluster — suffix-sharded serving tier
+//! # hoiho-cluster — the `hoiho-serve` binary
 //!
-//! Scales the single-engine serving path ([`hoiho_serve`]) out to N
-//! independently reloadable shards with a bounded response cache:
-//!
-//! * [`plan`] — deterministic greedy partitioning of a model artifact
-//!   into N weight-balanced shards by registrable-domain suffix, plus
-//!   the shard-map manifest (strict parser, render→parse→render
-//!   fixpoint, truncation-detecting trailer).
-//! * [`cache`] — a std-only bounded LRU striped across mutex-guarded
-//!   segments, with read-time validation hooks and
-//!   hit/miss/insert/evict/invalidation counters.
-//! * [`router`] — the shard router: dispatches by PSL registrable
-//!   domain with longest-first label-suffix fallback preserved across
-//!   shard boundaries, serves through the cache with per-shard
-//!   generation (and global epoch) tags so a reloaded shard can never
-//!   be answered from stale cache, and plugs into the serve protocol
-//!   loop as a [`hoiho_serve::Backend`].
-//!
-//! The `hoiho-serve` binary lives in this crate (the serve crate sits
-//! below the cluster layer): `shard` splits an artifact on disk, and
-//! `serve --shards N --cache-capacity K` runs the clustered server.
-//! See `DESIGN.md` §7c for the manifest format and the cache
-//! invalidation rules.
+//! The serving tier — shard planner, response cache and shard router —
+//! lives in [`hoiho_serve`]; this package holds the `hoiho-serve`
+//! binary (`src/bin/hoiho-serve.rs`) and re-exports the tier's names
+//! for callers that import them from here.
 
-pub mod cache;
-pub mod plan;
-pub mod router;
-
-pub use cache::{CacheStats, ShardedLru};
-pub use plan::{
-    plan, shard_file_name, split, suffix_weight, Assignment, PlanError, ShardMap, ShardMapError,
-    SHARDMAP_FILE_NAME, SHARDMAP_VERSION,
+pub use hoiho_serve::{
+    cache, plan, router, shard_file_name, split, suffix_weight, Assignment, CacheStats,
+    CachedAnswer, PlanError, Route, RouterError, ShardMap, ShardMapError, ShardRouter,
+    ShardStats, ShardedLru, SHARDMAP_FILE_NAME, SHARDMAP_VERSION,
 };
-pub use router::{CachedAnswer, ClusterBackend, Route, RouterError, ShardRouter, ShardStats};

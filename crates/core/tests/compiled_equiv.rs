@@ -201,6 +201,20 @@ fn backtracking_and_captures_identical() {
     }
 }
 
+/// `Alt` options are tried in the order written: the first option that
+/// lets the rest of the pattern match wins. With options sharing a
+/// prefix the order moves the capture — `1` first leaves `234` for
+/// `(\d+)`, where `12` first would leave `34`.
+#[test]
+fn alternation_options_are_tried_in_written_order() {
+    let r = rx(r"^(?:1|12)(\d+)\.example\.com$");
+    let host = "1234.example.com";
+    assert_eq!(CompiledRegex::compile(&r).extract(host), Some("234"));
+    assert_eq!(r.extract(host), Some("234"));
+    assert_eq!(oracle::find(&r, host).and_then(|m| m.capture(host, 0)), Some("234"));
+    assert_agrees(&r, host);
+}
+
 /// `CompiledConvention` and `NamingConvention` extract what the
 /// interpreter's first-match-wins walk does: the first regex matching
 /// with a capture decides, and digits past the 32-bit ASN space yield

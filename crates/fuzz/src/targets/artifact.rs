@@ -8,17 +8,14 @@
 //!    to the same bytes;
 //! 2. sharded-vs-single differential: a [`ShardRouter`] over 1–3
 //!    shards of the model must answer byte-identically to a single
-//!    [`EngineBackend`] for hostnames derived from the model's own
+//!    [`Engine`] for hostnames derived from the model's own
 //!    suffixes (plus misses), both singly and batched — the
 //!    cluster-tier invariant the whole deployment story rests on.
 
 use super::{Target, HOSTCHARS};
 use crate::corpus::case_hash;
 use crate::input::FuzzInput;
-use hoiho_cluster::ShardRouter;
-use hoiho_serve::server::Backend;
-use hoiho_serve::{Engine, EngineBackend, Model};
-use std::sync::Arc;
+use hoiho_serve::{Engine, Model, ShardRouter};
 
 /// Suffix pool: PSL-real and PSL-weird shapes both.
 const SUFFIXES: &[&str] = &["example.com", "other.net", "isp.example", "a.b", "x", "net"];
@@ -129,7 +126,7 @@ impl Target for ArtifactTarget {
 
         // Sharded vs single. Shard count derives from the case bytes so
         // replays are exact.
-        let single = EngineBackend::new(Arc::new(Engine::new(&model)));
+        let single = Engine::new(&model);
         let shards = 1 + (case_hash(case) % 3) as u32;
         let router = ShardRouter::from_model(&model, shards, 64)
             .map_err(|e| format!("split({shards}) failed on a valid model: {e}"))?;
@@ -139,9 +136,8 @@ impl Target for ArtifactTarget {
             hosts.push(format!("xe-0-1.{}", e.suffix));
             hosts.push(e.suffix.clone());
         }
-        let off = hoiho_obs::TraceCtx::off();
         for h in &hosts {
-            let a = single.query(h, &off);
+            let a = single.answer(h);
             let b = router.lookup(h);
             if a != b {
                 return Err(format!(
@@ -150,7 +146,7 @@ impl Target for ArtifactTarget {
             }
         }
         let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-        let a = single.query_batch(&refs, &off);
+        let a: Vec<_> = refs.iter().map(|h| single.answer(h)).collect();
         let b = router.lookup_batch(&refs);
         if a != b {
             return Err(format!("sharded({shards}) batch diverges from single engine"));

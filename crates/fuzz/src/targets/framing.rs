@@ -28,9 +28,8 @@ use crate::input::FuzzInput;
 use hoiho::classify::NcClass;
 use hoiho::regex::Regex;
 use hoiho::taxonomy::Taxonomy;
-use hoiho_serve::server::Backend;
 use hoiho_serve::{
-    Engine, EngineBackend, EvalCounts, Model, ModelEntry, ServerHandle, MAX_BATCH, MAX_LINE,
+    Engine, EvalCounts, Model, ModelEntry, ServerHandle, ShardRouter, MAX_BATCH, MAX_LINE,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -70,23 +69,23 @@ fn fixed_model() -> Model {
 
 pub struct FramingTarget {
     server: OnceLock<ServerHandle>,
-    /// The simulation's answer source — the same backend type the
-    /// server queries, over the same model.
-    backend: EngineBackend,
+    /// The simulation's answer source: a single engine over the same
+    /// model the server's router serves.
+    engine: Engine,
 }
 
 impl FramingTarget {
     pub fn new() -> FramingTarget {
         FramingTarget {
             server: OnceLock::new(),
-            backend: EngineBackend::new(Arc::new(Engine::new(&fixed_model()))),
+            engine: Engine::new(&fixed_model()),
         }
     }
 
     fn server(&self) -> &ServerHandle {
         self.server.get_or_init(|| {
-            ServerHandle::start("127.0.0.1:0", Arc::new(Engine::new(&fixed_model())), 1)
-                .expect("fuzz server start")
+            let router = ShardRouter::new(&[fixed_model()], 0).expect("fuzz router");
+            ServerHandle::start("127.0.0.1:0", Arc::new(router), 1).expect("fuzz server start")
         })
     }
 
@@ -110,10 +109,8 @@ impl FramingTarget {
                     out.extend_from_slice(
                         format!("ok\tbatch\t{}\n", hosts.len()).as_bytes(),
                     );
-                    let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-                    let off = hoiho_obs::TraceCtx::off();
-                    for (h, a) in hosts.iter().zip(self.backend.query_batch(&refs, &off)) {
-                        a.render_line_into(h, out);
+                    for h in &hosts {
+                        self.engine.answer(h).render_line_into(h, out);
                     }
                 }
                 return true;
@@ -137,7 +134,7 @@ impl FramingTarget {
             if request.is_empty() {
                 return true;
             }
-            let answer = self.backend.query(request, &hoiho_obs::TraceCtx::off());
+            let answer = self.engine.answer(request);
             out.extend_from_slice(
                 format!("{request}\t{}\n", answer.render_fields()).as_bytes(),
             );

@@ -8,7 +8,7 @@
 
 use super::{Target, HOSTCHARS};
 use crate::input::FuzzInput;
-use hoiho_cluster::ShardMap;
+use hoiho_serve::ShardMap;
 
 pub struct ShardMapTarget;
 

@@ -33,7 +33,7 @@ pub enum Phase {
     Read = 2,
     /// Framing/parsing request lines.
     Parse = 3,
-    /// Inside `Backend::query`/`query_batch` (router, cache, engine).
+    /// Inside the shard router's lookup (router, cache, engine).
     Backend = 4,
     /// Rendering responses into the out-buffer.
     Write = 5,

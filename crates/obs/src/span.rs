@@ -10,9 +10,9 @@
 //!   allocates is a pure function of `(seed, seq)` — so a fixed seed
 //!   and a fixed request script reproduce the *same* trace ids and the
 //!   same span sets, which the propagation tests rely on.
-//! * [`TraceCtx`] — the per-request context threaded through
-//!   `Backend::query`, the shard router, the cache probe, and engine
-//!   extraction. `TraceCtx::off()` is the common case: one `Option`
+//! * [`TraceCtx`] — the per-request context threaded through the
+//!   server, the shard router, the cache probe, and the convention's
+//!   regexes. `TraceCtx::off()` is the common case: one `Option`
 //!   check per layer, no allocation, no atomics — the unsampled path
 //!   stays bit-identical.
 //! * [`SpanRing`] — a lock-free bounded ring of fixed-width span
@@ -662,19 +662,31 @@ impl SpanHandle<'_> {
 }
 
 impl Drop for SpanHandle<'_> {
+    /// Inlined so that dropping an unsampled handle — every span of
+    /// every unsampled lookup — is one branch at the call site; the
+    /// recording path stays out of line.
+    #[inline]
     fn drop(&mut self) {
-        let Some(h) = self.inner.take() else { return };
-        h.ctx.parent.set(h.parent);
-        let end_ns = h.ctx.ring.now_ns();
-        h.ctx.ring.push(&ReqSpan {
-            trace: h.ctx.trace,
-            id: h.id,
-            parent: h.parent,
-            layer: h.layer,
-            detail: h.detail,
-            shard: h.shard,
-            generation: h.generation,
-            start_ns: h.start_ns,
+        if let Some(h) = self.inner.take() {
+            h.record();
+        }
+    }
+}
+
+impl HandleInner<'_> {
+    /// Closes the span: restores its parent and pushes the record.
+    fn record(self) {
+        self.ctx.parent.set(self.parent);
+        let end_ns = self.ctx.ring.now_ns();
+        self.ctx.ring.push(&ReqSpan {
+            trace: self.ctx.trace,
+            id: self.id,
+            parent: self.parent,
+            layer: self.layer,
+            detail: self.detail,
+            shard: self.shard,
+            generation: self.generation,
+            start_ns: self.start_ns,
             end_ns,
             tid: current_tid() & 0xFFFF,
         });

@@ -18,10 +18,10 @@
 //!
 //! [`NamingConvention::extract`]: hoiho::NamingConvention::extract
 
-use crate::model::Model;
+use crate::model::{Model, ModelEntry};
+use crate::server::QueryAnswer;
 use hoiho::classify::NcClass;
 use hoiho::regex::{CompiledRegex, MultiMatcher, Regex};
-use hoiho_obs::{Counter, Registry};
 use hoiho_psl::{Dispatch, PublicSuffixList, SuffixIndex};
 
 /// Minimum number of hostnames a batch worker must own before
@@ -56,10 +56,22 @@ pub struct CompiledNc {
 }
 
 impl CompiledNc {
-    fn new(suffix: String, class: NcClass, single: bool, regexes: Vec<Regex>) -> CompiledNc {
-        let programs: Vec<CompiledRegex> = regexes.iter().map(CompiledRegex::compile).collect();
+    /// Compiles every convention of `model`, in model order.
+    pub(crate) fn compile_all(model: &Model) -> Vec<CompiledNc> {
+        model.entries.iter().map(CompiledNc::new).collect()
+    }
+
+    fn new(e: &ModelEntry) -> CompiledNc {
+        let programs: Vec<CompiledRegex> = e.regexes.iter().map(CompiledRegex::compile).collect();
         let matcher = Some(MultiMatcher::build(programs.iter())).filter(MultiMatcher::supports_mask);
-        CompiledNc { suffix, class, single, regexes, programs, matcher }
+        CompiledNc {
+            suffix: e.suffix.clone(),
+            class: e.class,
+            single: e.single,
+            regexes: e.regexes.clone(),
+            programs,
+            matcher,
+        }
     }
 
     /// Runs the convention on an already-lowercased hostname —
@@ -106,45 +118,19 @@ impl Extraction {
     pub const MISS: Extraction = Extraction { nc: None, asn: None };
 }
 
-/// Pre-registered dispatch-outcome counters for an engine
-/// (`hoiho_engine_extractions_total{dispatch=...}`): `exact` when the
-/// PSL registrable domain hit the index directly, `fallback` when the
-/// deepest keyed label suffix supplied the convention instead, `miss`
-/// when no suffix covered the hostname. Cloning shares the underlying
-/// counters.
-#[derive(Debug, Clone)]
-pub struct EngineObs {
-    exact: Counter,
-    fallback: Counter,
-    miss: Counter,
-}
-
-impl EngineObs {
-    /// Registers the three outcome series in `registry`. Engines
-    /// attached to the same registry (e.g. across hot reloads)
-    /// accumulate into the same counters.
-    pub fn register(registry: &Registry) -> EngineObs {
-        let c = |d| registry.counter("hoiho_engine_extractions_total", &[("dispatch", d)]);
-        EngineObs { exact: c("exact"), fallback: c("fallback"), miss: c("miss") }
-    }
-}
-
 /// A suffix-indexed, read-only extraction engine.
 ///
 /// Construction compiles the model once; lookups never mutate, so one
-/// engine can be shared across server workers behind an `Arc` and
-/// hot-swapped atomically (see [`crate::server`]).
-///
-/// Counting is opt-in via [`Engine::attach_obs`]: an unattached engine
-/// (the default, and what the benches measure) pays only a dead
-/// `Option` check per lookup; an attached one adds a single relaxed
-/// atomic increment.
+/// engine can be shared across threads behind an `Arc`. The server
+/// serves
+/// through [`crate::router::ShardRouter`], which runs the same
+/// dispatch over all of its shards at once; this engine is the
+/// single-model reference it is tested against.
 #[derive(Debug, Clone)]
 pub struct Engine {
     ncs: Vec<CompiledNc>,
     /// The PSL rules plus every convention's suffix → its index.
     index: SuffixIndex<usize>,
-    obs: Option<EngineObs>,
 }
 
 impl Engine {
@@ -156,19 +142,9 @@ impl Engine {
     /// Compiles a model with a caller-provided PSL (e.g. a full Mozilla
     /// list loaded at deploy time).
     pub fn with_psl(model: &Model, psl: PublicSuffixList) -> Engine {
-        let ncs: Vec<CompiledNc> = model
-            .entries
-            .iter()
-            .map(|e| CompiledNc::new(e.suffix.clone(), e.class, e.single, e.regexes.clone()))
-            .collect();
+        let ncs = CompiledNc::compile_all(model);
         let index = psl.index(ncs.iter().enumerate().map(|(i, nc)| (nc.suffix.as_str(), i)));
-        Engine { ncs, index, obs: None }
-    }
-
-    /// Attaches dispatch-outcome counters; every subsequent lookup
-    /// increments exactly one of them.
-    pub fn attach_obs(&mut self, obs: EngineObs) {
-        self.obs = Some(obs);
+        Engine { ncs, index }
     }
 
     /// The compiled conventions, index-addressable (the indices appear
@@ -187,35 +163,29 @@ impl Engine {
         self.ncs.is_empty()
     }
 
-    /// Finds the convention index responsible for `lower` (an
-    /// already-lowercased hostname), if any, in one walk of the suffix
-    /// index (see the module docs), counting the outcome when attached.
-    fn dispatch(&self, lower: &str) -> Option<usize> {
-        let d = self.index.walk(lower).dispatch;
-        if let Some(obs) = &self.obs {
-            match d {
-                Dispatch::Exact(_) => obs.exact.inc(),
-                Dispatch::Fallback(_) => obs.fallback.inc(),
-                Dispatch::Miss => obs.miss.inc(),
-            }
-        }
-        d.value()
+    /// How `lower` (an already-lowercased hostname) dispatches, in one
+    /// walk of the suffix index (see the module docs): the convention
+    /// index, and whether the registrable domain or a fallback label
+    /// suffix found it.
+    pub(crate) fn dispatch(&self, lower: &str) -> Dispatch<usize> {
+        self.index.walk(lower).dispatch
     }
 
     /// Looks up one hostname: dispatch to its suffix's NC, then run the
     /// regexes. Matching is case-insensitive (one lowercase pass here).
     pub fn extract(&self, hostname: &str) -> Extraction {
-        self.extract_lower(&hostname.to_ascii_lowercase())
-    }
-
-    /// [`Engine::extract`] for a hostname the caller has already
-    /// lowercased — the cluster router lowercases once for routing and
-    /// must not pay for it again per shard.
-    pub fn extract_lower(&self, lower: &str) -> Extraction {
-        match self.dispatch(lower) {
-            Some(i) => Extraction { nc: Some(i), asn: self.ncs[i].extract_lower(lower) },
+        let lower = hostname.to_ascii_lowercase();
+        match self.dispatch(&lower).value() {
+            Some(i) => Extraction { nc: Some(i), asn: self.ncs[i].extract_lower(&lower) },
             None => Extraction::MISS,
         }
+    }
+
+    /// [`Engine::extract`] as the protocol reports it: the ASN plus the
+    /// dispatched convention's suffix and class.
+    pub fn answer(&self, hostname: &str) -> QueryAnswer {
+        let x = self.extract(hostname);
+        QueryAnswer::new(x.nc.map(|i| &self.ncs[i]), x.asn)
     }
 
     /// Batch lookup over `threads` scoped workers (0 = one per core).
@@ -358,48 +328,26 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_outcome_counters_account_exactly() {
-        let registry = Registry::new();
-        let mut e = engine();
-        e.attach_obs(EngineObs::register(&registry));
-        e.extract("p714.sgw.equinix.com"); // registrable domain hit
-        e.extract("as100.nts.ch"); // registrable domain hit
-        e.extract("core1.example.org"); // no covering suffix
-        let deep = Engine::with_psl(
-            &Model {
-                entries: vec![entry("net.example.com", &[r"^as(\d+)\.net\.example\.com$"])],
-            },
-            PublicSuffixList::builtin(),
-        );
-        let mut deep = deep;
-        deep.attach_obs(EngineObs::register(&registry));
-        deep.extract("as100.net.example.com"); // deeper than the PSL rd: fallback
-        let text = registry.render();
-        assert!(
-            text.contains("hoiho_engine_extractions_total{dispatch=\"exact\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("hoiho_engine_extractions_total{dispatch=\"fallback\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("hoiho_engine_extractions_total{dispatch=\"miss\"} 1"),
-            "{text}"
-        );
+    fn dispatch_outcomes_under_the_builtin_psl() {
+        let e = engine();
+        assert_eq!(e.dispatch("p714.sgw.equinix.com"), Dispatch::Exact(0));
+        assert_eq!(e.dispatch("as100.nts.ch"), Dispatch::Exact(1));
+        assert_eq!(e.dispatch("core1.example.org"), Dispatch::Miss);
+        // Deeper than the PSL registrable domain: fallback.
+        let deep = Engine::new(&Model {
+            entries: vec![entry("net.example.com", &[r"^as(\d+)\.net\.example\.com$"])],
+        });
+        assert_eq!(deep.dispatch("as100.net.example.com"), Dispatch::Fallback(0));
     }
 
-    /// Which counter one lookup bumped, and the suffix it dispatched to.
-    fn dispatched(e: &Engine, registry: &Registry, host: &str) -> (&'static str, Option<String>) {
-        let outcomes = ["exact", "fallback", "miss"];
-        let count = |d| registry.counter("hoiho_engine_extractions_total", &[("dispatch", d)]).get();
-        let before = outcomes.map(count);
-        let x = e.extract(host);
-        let after = outcomes.map(count);
-        let bumped: Vec<&str> =
-            (0..3).filter(|&i| after[i] == before[i] + 1).map(|i| outcomes[i]).collect();
-        assert_eq!(bumped.len(), 1, "{host}: exactly one outcome counter per lookup");
-        (bumped[0], x.nc.map(|i| e.conventions()[i].suffix.clone()))
+    /// How one lookup dispatched, and the suffix its extraction names.
+    fn dispatched(e: &Engine, host: &str) -> (&'static str, Option<String>) {
+        let outcome = match e.dispatch(&host.to_ascii_lowercase()) {
+            Dispatch::Exact(_) => "exact",
+            Dispatch::Fallback(_) => "fallback",
+            Dispatch::Miss => "miss",
+        };
+        (outcome, e.extract(host).nc.map(|i| e.conventions()[i].suffix.clone()))
     }
 
     /// First-match order, pinned case by case: the registrable domain
@@ -418,12 +366,10 @@ mod tests {
             "www.ck",
             "a..b.org",
         ];
-        let mut e = Engine::with_psl(
+        let e = Engine::with_psl(
             &Model { entries: keys.iter().map(|k| entry(k, &[r"^as(\d+)\."])).collect() },
             psl,
         );
-        let registry = Registry::new();
-        e.attach_obs(EngineObs::register(&registry));
         let cases: &[(&str, &str, Option<&str>)] = &[
             // A keyed registrable domain beats a deeper key.
             ("p1.sgw.equinix.com", "exact", Some("equinix.com")),
@@ -451,7 +397,7 @@ mod tests {
             (".", "miss", None),
         ];
         for &(host, outcome, suffix) in cases {
-            let got = dispatched(&e, &registry, host);
+            let got = dispatched(&e, host);
             assert_eq!(got, (outcome, suffix.map(str::to_string)), "{host}");
         }
     }
@@ -473,14 +419,6 @@ mod tests {
         let small = Engine::new(&Model { entries: vec![entry("equinix.com", &real)] });
         for h in ["p714.sgw.equinix.com", "24482-fr5-ix.equinix.com", "www.equinix.com"] {
             assert_eq!(big.extract(h).asn, small.extract(h).asn, "{h}");
-        }
-    }
-
-    #[test]
-    fn prelowered_extraction_matches() {
-        let e = engine();
-        for h in ["GE0-2.01.P.AS15576.NTS.CH", "p714.sgw.equinix.com", "x.example.org"] {
-            assert_eq!(e.extract_lower(&h.to_ascii_lowercase()), e.extract(h));
         }
     }
 }

@@ -13,7 +13,7 @@
 //! the model artifact: a versioned header, one `A` record per suffix,
 //! and an `E` trailer carrying totals so truncation can never parse.
 //! [`ShardMap::render`] → [`ShardMap::parse`] → [`ShardMap::render`]
-//! is a fixpoint (property-tested in `tests/properties.rs`):
+//! is a fixpoint (property-tested in `tests/router_properties.rs`):
 //!
 //! ```text
 //! # comments and blank lines are ignored anywhere
@@ -23,7 +23,7 @@
 //! E	2	189
 //! ```
 
-use hoiho_serve::model::{Model, ModelEntry};
+use crate::model::{Model, ModelEntry};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -361,7 +361,7 @@ mod tests {
     use hoiho::classify::NcClass;
     use hoiho::regex::Regex;
     use hoiho::taxonomy::Taxonomy;
-    use hoiho_serve::model::EvalCounts;
+    use crate::model::EvalCounts;
 
     fn entry(suffix: &str, rx: &[&str]) -> ModelEntry {
         ModelEntry {

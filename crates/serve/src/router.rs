@@ -1,31 +1,36 @@
-//! The shard router: N independently reloadable engines behind one
-//! lookup API, fronted by the bounded response cache.
+//! The shard router: the server's one serving path. N independently
+//! reloadable shards behind one lookup API, fronted by the bounded
+//! response cache. A plain `hoiho-serve serve` is a one-shard router
+//! with the cache off.
 //!
 //! # Dispatch
 //!
-//! A global routing table maps every model suffix to its owning shard,
-//! compiled together with the PSL rules into one
-//! [`SuffixIndex`](hoiho_psl::SuffixIndex) — the structure a single
-//! engine dispatches through. A lookup lowercases the hostname once and
-//! walks it: the registrable domain's shard when that suffix is keyed,
-//! else the shard of the deepest keyed label suffix. Because the
-//! routing table is the union of all shard indexes, the deepest
-//! matching suffix globally is found even when registrable-domain
-//! routing misses — fallback semantics are preserved across shard
-//! boundaries, and the shard's own engine then re-dispatches internally
-//! to the same convention (the deepest suffix it holds is the deepest
-//! in the union, since a deeper one in this shard would also be in the
-//! union).
+//! Everything a lookup reads sits in one immutable snapshot: each
+//! shard's compiled conventions and reload count, the global reload
+//! epoch, and one
+//! [`SuffixIndex`](hoiho_psl::SuffixIndex) compiling the PSL rules with
+//! every shard's suffixes, each keyed to its `(shard, convention)`.
+//! A lookup lowercases the hostname once and walks that index once:
+//! the registrable domain's convention when that suffix is keyed, else
+//! the deepest keyed label suffix — across shard boundaries, exactly
+//! the dispatch a single [`Engine`](crate::Engine) over the whole model
+//! makes. The convention found then runs its regexes; there is no
+//! second walk inside the shard.
+//!
+//! A `BATCH` resolves the snapshot once (a read lock and an `Arc`
+//! clone) and answers every item from it.
 //!
 //! # Cache safety across reloads
 //!
 //! Cached answers are tagged with a [`Route`]: the shard and its
 //! generation for registrable-domain (exact) routes, or the global
-//! routing epoch for fallback and miss routes. A read revalidates the
-//! tag against the live counters, so a stale answer is never served:
+//! epoch for fallback and miss routes. A cache read accepts an entry
+//! only when its tag equals the numbers of the snapshot the lookup
+//! runs on, so an answer is served only where that snapshot would
+//! compute the same one:
 //!
 //! * Reloading shard *k* bumps *k*'s generation — every cached answer
-//!   computed by *k*'s old engine fails validation.
+//!   computed by *k*'s old conventions fails validation.
 //! * Any reload bumps the epoch — every fallback/miss answer is
 //!   dropped, because a reload can add or remove suffixes anywhere in
 //!   the fallback search order.
@@ -34,25 +39,22 @@
 //!   rejected), so another shard's registrable-domain dispatch cannot
 //!   be affected.
 //!
-//! The compute path samples `epoch → routing → generation → engine`,
-//! in that order, while a reload installs `engine → routing → bump
-//! generation+epoch → invalidate`. A lookup racing a reload may
-//! compute on the new engine but always carries the *old* tag, so the
-//! racing insert can never validate after the bump — at worst it
-//! lingers unservable until evicted. Eager invalidation after the bump
-//! just reclaims space early.
+//! A reload builds the next snapshot, swaps it in, then drops the
+//! entries it made stale. A lookup racing a reload computes on the
+//! snapshot it holds and tags the answer with that snapshot's numbers,
+//! so a racing insert can be stale — rejected by every later snapshot
+//! and evicted in time — but never wrong.
 
 use crate::cache::{CacheStats, ShardedLru};
+use crate::engine::CompiledNc;
+use crate::model::Model;
 use crate::plan::split;
+use crate::server::QueryAnswer;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
 use hoiho_psl::{Dispatch, PublicSuffixList, SuffixIndex};
-use hoiho_serve::model::Model;
-use hoiho_serve::server::{Backend, Generation, QueryAnswer};
-use hoiho_serve::Engine;
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -90,15 +92,68 @@ pub struct CachedAnswer {
     pub answer: QueryAnswer,
 }
 
-/// One shard: a hot-swappable engine generation plus its counters.
-struct ShardSlot {
-    /// The live generation (engine + per-suffix counters).
-    gen: RwLock<Arc<Generation>>,
-    /// Bumped on every reload of this shard; cached exact routes record
-    /// the value they were computed under.
-    generation_no: AtomicU64,
-    /// Queries dispatched to this shard (cache hits not included).
-    queries: AtomicU64,
+/// One shard generation: its compiled conventions and their per-suffix
+/// query counters, which restart when the shard reloads.
+struct Shard {
+    ncs: Vec<CompiledNc>,
+    per_suffix: Vec<AtomicU64>,
+    /// Reloads of this shard so far; exact-route tags record it.
+    generation: u64,
+}
+
+impl Shard {
+    fn new(model: &Model, generation: u64) -> Arc<Shard> {
+        let ncs = CompiledNc::compile_all(model);
+        let per_suffix = ncs.iter().map(|_| AtomicU64::new(0)).collect();
+        Arc::new(Shard { ncs, per_suffix, generation })
+    }
+}
+
+/// Everything a lookup reads, swapped whole on reload (module docs).
+struct Snapshot {
+    shards: Vec<Arc<Shard>>,
+    /// Reloads of any shard so far; fallback/miss tags record it.
+    epoch: u64,
+    /// The PSL rules plus every suffix → (shard, convention index).
+    index: SuffixIndex<(u32, u32)>,
+}
+
+impl Snapshot {
+    /// Indexes `shards`. Fails if two conventions share a suffix.
+    fn new(
+        psl: &PublicSuffixList,
+        shards: Vec<Arc<Shard>>,
+        epoch: u64,
+    ) -> Result<Snapshot, RouterError> {
+        let mut owners = HashMap::new();
+        for (k, shard) in shards.iter().enumerate() {
+            for nc in &shard.ncs {
+                if let Some(prev) = owners.insert(nc.suffix.clone(), k as u32) {
+                    return Err(RouterError(format!(
+                        "suffix {} owned by both shard {prev} and shard {k}",
+                        nc.suffix
+                    )));
+                }
+            }
+        }
+        let keys = shards.iter().enumerate().flat_map(|(k, shard)| {
+            let ncs = shard.ncs.iter().enumerate();
+            ncs.map(move |(i, nc)| (nc.suffix.as_str(), (k as u32, i as u32)))
+        });
+        let index = psl.index(keys);
+        Ok(Snapshot { shards, epoch, index })
+    }
+
+    /// True when an answer tagged `route` is what this snapshot would
+    /// compute.
+    fn current(&self, route: &Route) -> bool {
+        match *route {
+            Route::Exact { shard, generation } => {
+                self.shards[shard as usize].generation == generation
+            }
+            Route::Fallback { epoch, .. } | Route::Miss { epoch } => self.epoch == epoch,
+        }
+    }
 }
 
 /// Point-in-time view of one shard for `STATS CLUSTER`.
@@ -129,20 +184,24 @@ struct ShardMetrics {
     cache_stale: Counter,
 }
 
-/// The router's observability handles: one [`ShardMetrics`] per shard
-/// plus the `shard="none"` cache series, and the shared context for
-/// the `shard_reload` event stream.
-struct RouterObs {
-    obs: Arc<Obs>,
+/// The router's metric handles: one [`ShardMetrics`] per shard, the
+/// `shard="none"` cache series, and the dispatch outcomes
+/// (`hoiho_engine_extractions_total{dispatch=...}`: `exact` when the
+/// registrable domain is keyed, `fallback` when a deeper or shallower
+/// label suffix is, `miss` when none is), counted once per computed
+/// lookup from the router's own walk.
+struct RouterMetrics {
     shards: Vec<ShardMetrics>,
-    /// Cache counters for miss-route (uncovered-hostname) entries.
     none: ShardMetrics,
+    exact: Counter,
+    fallback: Counter,
+    miss: Counter,
 }
 
-impl RouterObs {
-    fn register(obs: Arc<Obs>, nshards: usize, suffix_counts: &[usize]) -> RouterObs {
+impl RouterMetrics {
+    fn register(obs: &Obs, suffix_counts: &[usize]) -> RouterMetrics {
+        let r = obs.registry();
         let series = |label: &str| {
-            let r = obs.registry();
             let l = &[("shard", label)];
             ShardMetrics {
                 queries: r.counter("hoiho_shard_queries_total", l),
@@ -156,12 +215,18 @@ impl RouterObs {
             }
         };
         let shards: Vec<ShardMetrics> =
-            (0..nshards).map(|k| series(&k.to_string())).collect();
+            (0..suffix_counts.len()).map(|k| series(&k.to_string())).collect();
         for (m, &n) in shards.iter().zip(suffix_counts) {
             m.suffixes.set(n as i64);
         }
-        let none = series("none");
-        RouterObs { obs, shards, none }
+        let dispatch = |d| r.counter("hoiho_engine_extractions_total", &[("dispatch", d)]);
+        RouterMetrics {
+            shards,
+            none: series("none"),
+            exact: dispatch("exact"),
+            fallback: dispatch("fallback"),
+            miss: dispatch("miss"),
+        }
     }
 
     /// The metrics bucket a route charges cache traffic to.
@@ -175,95 +240,41 @@ impl RouterObs {
     }
 }
 
-/// The routing table: which shard owns each suffix, and the same map
-/// compiled with the PSL rules for one-walk dispatch.
-struct Routing {
-    owners: HashMap<String, u32>,
-    index: SuffixIndex<u32>,
-}
-
-impl Routing {
-    fn new(psl: &PublicSuffixList, owners: HashMap<String, u32>) -> Routing {
-        let index = psl.index(owners.iter().map(|(s, &k)| (s.as_str(), k)));
-        Routing { owners, index }
-    }
-}
-
-/// The suffix-sharded serving tier: shard engines, the routing table,
-/// and the response cache.
+/// The suffix-sharded serving tier: the live snapshot, the response
+/// cache, and the observability context the server shares.
 pub struct ShardRouter {
     psl: PublicSuffixList,
-    slots: Vec<ShardSlot>,
-    /// suffix → owning shard; swapped wholesale on reload.
-    routing: RwLock<Arc<Routing>>,
-    /// Bumped on every reload of any shard; fallback/miss cache tags
-    /// record it.
-    epoch: AtomicU64,
+    snapshot: RwLock<Arc<Snapshot>>,
     cache: ShardedLru<CachedAnswer>,
-    /// Serializes reloads so routing rebuilds never interleave.
+    /// Serializes reloads so snapshot rebuilds never interleave.
     reload_lock: Mutex<()>,
-    /// Per-shard metrics and the shard-reload event stream, when the
-    /// router was built with an observability context. `None` keeps
-    /// the hot path free of even the relaxed counter increments.
-    obs: Option<RouterObs>,
+    /// Metrics, the `shard_reload` event stream, and the trace, profile
+    /// and SLO state of the server running this router.
+    obs: Arc<Obs>,
+    metrics: RouterMetrics,
 }
 
 impl ShardRouter {
-    /// Builds a router over pre-split shard models. Fails if the same
-    /// suffix appears in more than one shard.
+    /// Builds a router over pre-split shard models, with a fresh
+    /// private observability context ([`ShardRouter::obs`]). Fails if
+    /// the same suffix appears in more than one shard.
     pub fn new(shard_models: &[Model], cache_capacity: usize) -> Result<ShardRouter, RouterError> {
-        ShardRouter::build(shard_models, cache_capacity, None)
-    }
-
-    /// Like [`ShardRouter::new`], but registers per-shard metrics in
-    /// `obs` and records `shard_reload` events to its event log.
-    pub fn new_obs(
-        shard_models: &[Model],
-        cache_capacity: usize,
-        obs: Arc<Obs>,
-    ) -> Result<ShardRouter, RouterError> {
-        ShardRouter::build(shard_models, cache_capacity, Some(obs))
-    }
-
-    fn build(
-        shard_models: &[Model],
-        cache_capacity: usize,
-        obs: Option<Arc<Obs>>,
-    ) -> Result<ShardRouter, RouterError> {
         if shard_models.is_empty() {
             return Err(RouterError("a cluster needs at least one shard".into()));
         }
-        let mut routing: HashMap<String, u32> = HashMap::new();
-        for (k, m) in shard_models.iter().enumerate() {
-            for e in &m.entries {
-                if let Some(prev) = routing.insert(e.suffix.clone(), k as u32) {
-                    return Err(RouterError(format!(
-                        "suffix {} owned by both shard {prev} and shard {k}",
-                        e.suffix
-                    )));
-                }
-            }
-        }
-        let slots = shard_models
-            .iter()
-            .map(|m| ShardSlot {
-                gen: RwLock::new(Generation::new(Arc::new(Engine::new(m)))),
-                generation_no: AtomicU64::new(0),
-                queries: AtomicU64::new(0),
-            })
-            .collect();
-        let suffix_counts: Vec<usize> =
-            shard_models.iter().map(|m| m.entries.len()).collect();
-        let obs = obs.map(|o| RouterObs::register(o, shard_models.len(), &suffix_counts));
         let psl = PublicSuffixList::builtin();
+        let shards = shard_models.iter().map(|m| Shard::new(m, 0)).collect();
+        let snapshot = Snapshot::new(&psl, shards, 0)?;
+        let obs = Arc::new(Obs::new());
+        let suffix_counts: Vec<usize> = shard_models.iter().map(|m| m.entries.len()).collect();
+        let metrics = RouterMetrics::register(&obs, &suffix_counts);
         Ok(ShardRouter {
-            routing: RwLock::new(Arc::new(Routing::new(&psl, routing))),
             psl,
-            slots,
-            epoch: AtomicU64::new(0),
+            snapshot: RwLock::new(Arc::new(snapshot)),
             cache: ShardedLru::new(cache_capacity),
             reload_lock: Mutex::new(()),
             obs,
+            metrics,
         })
     }
 
@@ -277,21 +288,16 @@ impl ShardRouter {
         ShardRouter::new(&models, cache_capacity)
     }
 
-    /// Plans, splits, and builds in one step, with observability (see
-    /// [`ShardRouter::new_obs`]).
-    pub fn from_model_obs(
-        model: &Model,
-        shards: u32,
-        cache_capacity: usize,
-        obs: Arc<Obs>,
-    ) -> Result<ShardRouter, RouterError> {
-        let (models, _) = split(model, shards).map_err(|e| RouterError(e.to_string()))?;
-        ShardRouter::new_obs(&models, cache_capacity, obs)
+    /// The observability context: per-shard, cache and dispatch
+    /// metrics, and the `shard_reload` events. A server started over
+    /// this router records into it too.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.obs
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.slots.len()
+        self.snapshot().shards.len()
     }
 
     /// The response cache (for stats and tests).
@@ -299,27 +305,19 @@ impl ShardRouter {
         &self.cache
     }
 
-    /// True when `route`'s tag still matches the live counters.
-    fn route_current(&self, route: &Route) -> bool {
-        match *route {
-            Route::Exact { shard, generation } => {
-                self.slots[shard as usize].generation_no.load(Ordering::Acquire) == generation
-            }
-            Route::Fallback { epoch, .. } | Route::Miss { epoch } => {
-                self.epoch.load(Ordering::Acquire) == epoch
-            }
-        }
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
     }
 
     /// Answers one hostname, through the cache.
     ///
-    /// Cache accounting when observability is attached: a hit is
-    /// charged to the cached route's shard, a miss to the shard that
-    /// ends up computing the answer, a stale-generation rejection to
-    /// the rejected entry's shard (stale lookups then recompute, so
-    /// they also count as misses — per shard, `hits + misses` over all
-    /// series equals total lookups), and an eviction to the shard of
-    /// the answer that was pushed out.
+    /// Cache accounting: a hit is charged to the cached route's shard,
+    /// a miss to the shard that ends up computing the answer, a
+    /// stale-generation rejection to the rejected entry's shard (stale
+    /// lookups then recompute, so they also count as misses — per
+    /// shard, `hits + misses` over all series equals total lookups),
+    /// and an eviction to the shard of the answer that was pushed out.
+    /// With the cache off (capacity 0) no cache traffic is counted.
     pub fn lookup(&self, hostname: &str) -> QueryAnswer {
         self.lookup_traced(hostname, &TraceCtx::off())
     }
@@ -327,22 +325,57 @@ impl ShardRouter {
     /// [`ShardRouter::lookup`] under a request tracing context: a
     /// sampled request records a router span tagged with the route
     /// outcome (exact/fallback/route_miss), shard, and generation (or
-    /// epoch), a cache span tagged hit/miss/stale, and — on a cache
-    /// miss — an engine span from the shard dispatch (DESIGN §7i). An
-    /// off context costs one branch per span site.
+    /// epoch), a cache span tagged hit/miss/stale when the cache is on,
+    /// and — when the answer is computed — an engine span around the
+    /// convention's regexes (DESIGN §7i). An off context costs one
+    /// branch per span site.
     pub fn lookup_traced(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
-        let lower = hostname.to_ascii_lowercase();
+        self.lookup_in(&self.snapshot(), hostname, &mut String::new(), ctx)
+    }
+
+    /// Answers a `BATCH` of hostnames in order, all from one snapshot
+    /// and lowercased into one reused buffer. Each item goes through
+    /// the same cache path as a single query, so cache accounting,
+    /// route tags, and reload safety are identical item for item.
+    pub fn lookup_batch(&self, hostnames: &[&str]) -> Vec<QueryAnswer> {
+        self.lookup_batch_traced(hostnames, &TraceCtx::off())
+    }
+
+    /// [`ShardRouter::lookup_batch`] under a tracing context; each item
+    /// records its own router/cache/engine spans until the context's
+    /// span budget is spent.
+    pub fn lookup_batch_traced(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
+        let snap = self.snapshot();
+        let mut lower = String::new();
+        hostnames.iter().map(|h| self.lookup_in(&snap, h, &mut lower, ctx)).collect()
+    }
+
+    /// One lookup on `snap`, lowercasing `hostname` into `lower`.
+    fn lookup_in(
+        &self,
+        snap: &Snapshot,
+        hostname: &str,
+        lower: &mut String,
+        ctx: &TraceCtx,
+    ) -> QueryAnswer {
+        lower.clear();
+        lower.push_str(hostname);
+        lower.make_ascii_lowercase();
+        let lower = lower.as_str();
         let mut rsp = ctx.span(Layer::Router);
+        if !self.cache.is_enabled() {
+            let (route, answer) = self.compute(snap, lower, ctx);
+            tag_route(&mut rsp, &route);
+            return answer;
+        }
         let mut saw_stale = false;
         let cached = {
             let mut csp = ctx.span(Layer::Cache);
-            let hit = self.cache.get_valid(&lower, |v| {
-                let current = self.route_current(&v.route);
+            let hit = self.cache.get_valid(lower, |v| {
+                let current = snap.current(&v.route);
                 if !current {
                     saw_stale = true;
-                    if let Some(o) = &self.obs {
-                        o.of_route(&v.route).cache_stale.inc();
-                    }
+                    self.metrics.of_route(&v.route).cache_stale.inc();
                 }
                 current
             });
@@ -360,81 +393,49 @@ impl ShardRouter {
             hit
         };
         if let Some(hit) = cached {
-            if let Some(o) = &self.obs {
-                o.of_route(&hit.route).cache_hits.inc();
-            }
+            self.metrics.of_route(&hit.route).cache_hits.inc();
             tag_route(&mut rsp, &hit.route);
             return hit.answer;
         }
-        let (route, answer) = self.compute(&lower, ctx);
+        let (route, answer) = self.compute(snap, lower, ctx);
         tag_route(&mut rsp, &route);
-        if let Some(o) = &self.obs {
-            o.of_route(&route).cache_misses.inc();
-        }
-        let evicted = self.cache.insert(&lower, CachedAnswer { route, answer: answer.clone() });
-        if let (Some(o), Some(ev)) = (&self.obs, evicted) {
-            o.of_route(&ev.route).cache_evictions.inc();
+        self.metrics.of_route(&route).cache_misses.inc();
+        let evicted = self.cache.insert(lower, CachedAnswer { route, answer: answer.clone() });
+        if let Some(ev) = evicted {
+            self.metrics.of_route(&ev.route).cache_evictions.inc();
         }
         answer
     }
 
-    /// Answers one hostname, bypassing the cache (no insert either).
-    pub fn lookup_uncached(&self, hostname: &str) -> QueryAnswer {
-        self.compute(&hostname.to_ascii_lowercase(), &TraceCtx::off()).1
-    }
-
-    /// Answers a `BATCH` of hostnames in order. Each item goes through
-    /// the same cached [`ShardRouter::lookup`] path as a single query,
-    /// so cache accounting, route tags, and reload safety are identical
-    /// item for item.
-    pub fn lookup_batch(&self, hostnames: &[&str]) -> Vec<QueryAnswer> {
-        self.lookup_batch_traced(hostnames, &TraceCtx::off())
-    }
-
-    /// [`ShardRouter::lookup_batch`] under a tracing context; each item
-    /// records its own router/cache/engine spans until the context's
-    /// span budget is spent.
-    pub fn lookup_batch_traced(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        hostnames.iter().map(|h| self.lookup_traced(h, ctx)).collect()
-    }
-
-    /// The routed compute path. Sampling order matters (module docs):
-    /// epoch, then routing, then the shard's generation, then its
-    /// engine — a racing reload leaves the tag stale, never the answer
-    /// newer than the tag claims.
-    fn compute(&self, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let routing = Arc::clone(&self.routing.read().unwrap());
-        match routing.index.walk(lower).dispatch {
-            Dispatch::Exact(shard) => {
-                let generation =
-                    self.slots[shard as usize].generation_no.load(Ordering::Acquire);
-                let answer = self.query_shard(shard, lower, ctx);
-                (Route::Exact { shard, generation }, answer)
+    /// The compute path: one walk of the snapshot's index, then the
+    /// dispatched convention's regexes. Counts the dispatch outcome,
+    /// the shard's query and the convention's per-suffix query.
+    fn compute(&self, snap: &Snapshot, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
+        let (route, (k, i)) = match snap.index.walk(lower).dispatch {
+            Dispatch::Exact((k, i)) => {
+                self.metrics.exact.inc();
+                let generation = snap.shards[k as usize].generation;
+                (Route::Exact { shard: k, generation }, (k, i))
             }
-            Dispatch::Fallback(shard) => {
-                let answer = self.query_shard(shard, lower, ctx);
-                (Route::Fallback { shard, epoch }, answer)
+            Dispatch::Fallback((k, i)) => {
+                self.metrics.fallback.inc();
+                (Route::Fallback { shard: k, epoch: snap.epoch }, (k, i))
             }
-            Dispatch::Miss => (Route::Miss { epoch }, QueryAnswer::MISS),
-        }
-    }
-
-    /// Dispatches a pre-lowercased hostname to shard `k`'s engine.
-    fn query_shard(&self, k: u32, lower: &str, ctx: &TraceCtx) -> QueryAnswer {
-        let slot = &self.slots[k as usize];
-        slot.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.shards[k as usize].queries.inc();
-        }
+            Dispatch::Miss => {
+                self.metrics.miss.inc();
+                return (Route::Miss { epoch: snap.epoch }, QueryAnswer::MISS);
+            }
+        };
+        let shard = &snap.shards[k as usize];
+        self.metrics.shards[k as usize].queries.inc();
+        shard.per_suffix[i as usize].fetch_add(1, Ordering::Relaxed);
+        let nc = &shard.ncs[i as usize];
         let mut esp = ctx.span(Layer::Engine);
         esp.shard(k);
-        esp.generation(slot.generation_no.load(Ordering::Acquire));
-        let gen = Arc::clone(&slot.gen.read().unwrap());
-        let x = gen.engine.extract_lower(lower);
-        let answer = gen.answer_of(x);
-        esp.detail(if answer.asn.is_some() { detail::EXTRACT_HIT } else { detail::EXTRACT_MISS });
-        answer
+        esp.generation(shard.generation);
+        let asn = nc.extract_lower(lower);
+        esp.detail(if asn.is_some() { detail::EXTRACT_HIT } else { detail::EXTRACT_MISS });
+        (route, QueryAnswer::new(Some(nc), asn))
     }
 
     /// Hot-reloads shard `k` with a new model. The new model may add
@@ -442,90 +443,66 @@ impl ShardRouter {
     /// On success the shard's generation and the global epoch advance
     /// and stale cache entries are dropped; on failure nothing changes.
     pub fn reload_shard(&self, k: u32, model: &Model) -> Result<usize, RouterError> {
-        let Some(slot) = self.slots.get(k as usize) else {
+        let _serialize = self.reload_lock.lock().expect("reload lock poisoned");
+        let current = self.snapshot();
+        let Some(old) = current.shards.get(k as usize) else {
             return Err(RouterError(format!(
                 "shard {k} out of range (cluster has {})",
-                self.slots.len()
+                current.shards.len()
             )));
         };
-        let _serialize = self.reload_lock.lock().unwrap();
-        let current = Arc::clone(&self.routing.read().unwrap());
-        for e in &model.entries {
-            if let Some(&owner) = current.owners.get(&e.suffix) {
-                if owner != k {
-                    return Err(RouterError(format!(
-                        "suffix {} is owned by shard {owner}; reload of shard {k} may not \
-                         claim it",
-                        e.suffix
-                    )));
-                }
-            }
-        }
-        let engine = Arc::new(Engine::new(model));
-        let n = engine.len();
-        // Install order per module docs: engine, routing, counters,
-        // then eager invalidation.
-        *slot.gen.write().unwrap() = Generation::new(engine);
-        let mut next: HashMap<String, u32> = current
-            .owners
-            .iter()
-            .filter(|&(_, &s)| s != k)
-            .map(|(s, &o)| (s.clone(), o))
-            .collect();
-        for e in &model.entries {
-            next.insert(e.suffix.clone(), k);
-        }
-        *self.routing.write().unwrap() = Arc::new(Routing::new(&self.psl, next));
-        slot.generation_no.fetch_add(1, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.cache.invalidate(|v| !self.route_current(&v.route));
-        if let Some(o) = &self.obs {
-            let m = &o.shards[k as usize];
-            m.reloads.inc();
-            let generation = slot.generation_no.load(Ordering::Acquire);
-            m.generation.set(generation as i64);
-            m.suffixes.set(n as i64);
-            o.obs.events().record(
-                "shard_reload",
-                &[
-                    ("shard", &k.to_string()),
-                    ("generation", &generation.to_string()),
-                    ("conventions", &n.to_string()),
-                ],
-            );
-        }
+        let generation = old.generation + 1;
+        let mut shards = current.shards.clone();
+        shards[k as usize] = Shard::new(model, generation);
+        let next = Arc::new(Snapshot::new(&self.psl, shards, current.epoch + 1)?);
+        *self.snapshot.write().expect("snapshot lock poisoned") = Arc::clone(&next);
+        self.cache.invalidate(|v| !next.current(&v.route));
+        let n = model.entries.len();
+        let m = &self.metrics.shards[k as usize];
+        m.reloads.inc();
+        m.generation.set(generation as i64);
+        m.suffixes.set(n as i64);
+        self.obs.events().record(
+            "shard_reload",
+            &[
+                ("shard", &k.to_string()),
+                ("generation", &generation.to_string()),
+                ("conventions", &n.to_string()),
+            ],
+        );
         Ok(n)
     }
 
     /// Total conventions across all shards.
     pub fn model_len(&self) -> usize {
-        self.slots.iter().map(|s| s.gen.read().unwrap().engine.len()).sum()
+        self.snapshot().shards.iter().map(|s| s.ncs.len()).sum()
     }
 
-    /// Per-suffix query counts, shard by shard in index order (the
-    /// cluster analogue of the single engine's `STATS SUFFIX`). Cache
-    /// hits do not reach an engine and are not counted here.
+    /// Per-suffix query counts since each shard's last reload, shard by
+    /// shard in index order (`STATS SUFFIX`). Cache hits do not reach
+    /// a convention and are not counted here.
     pub fn per_suffix(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            let gen = Arc::clone(&slot.gen.read().unwrap());
-            for (nc, n) in gen.engine.conventions().iter().zip(&gen.per_suffix) {
-                out.push((nc.suffix.clone(), n.load(Ordering::Relaxed)));
-            }
-        }
-        out
+        let snap = self.snapshot();
+        snap.shards
+            .iter()
+            .flat_map(|s| s.ncs.iter().zip(&s.per_suffix))
+            .map(|(nc, n)| (nc.suffix.clone(), n.load(Ordering::Relaxed)))
+            .collect()
     }
 
-    /// Per-shard stats snapshot.
+    /// Per-shard stats snapshot; `queries` reads
+    /// `hoiho_shard_queries_total`.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.slots
+        let snap = self.snapshot();
+        snap.shards
             .iter()
+            .zip(&self.metrics.shards)
             .enumerate()
-            .map(|(k, slot)| ShardStats {
+            .map(|(k, (s, m))| ShardStats {
                 shard: k as u32,
-                generation: slot.generation_no.load(Ordering::Acquire),
-                suffixes: slot.gen.read().unwrap().engine.len(),
-                queries: slot.queries.load(Ordering::Relaxed),
+                generation: s.generation,
+                suffixes: s.ncs.len(),
+                queries: m.queries.get(),
             })
             .collect()
     }
@@ -558,90 +535,23 @@ fn tag_route(sp: &mut SpanHandle<'_>, route: &Route) {
     }
 }
 
-/// [`Backend`] adapter plugging a [`ShardRouter`] into the serve
-/// protocol loop: queries go through the cache, `RELOAD SHARD <k>
-/// <path>` reloads one shard, and `STATS CLUSTER` reports shard and
-/// cache counters.
-pub struct ClusterBackend {
-    router: Arc<ShardRouter>,
-}
-
-impl ClusterBackend {
-    /// Wraps a router.
-    pub fn new(router: Arc<ShardRouter>) -> ClusterBackend {
-        ClusterBackend { router }
-    }
-
-    /// The wrapped router.
-    pub fn router(&self) -> &Arc<ShardRouter> {
-        &self.router
-    }
-}
-
-impl Backend for ClusterBackend {
-    fn query(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
-        self.router.lookup_traced(hostname, ctx)
-    }
-
-    fn query_batch(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        self.router.lookup_batch_traced(hostnames, ctx)
-    }
-
-    fn model_len(&self) -> usize {
-        self.router.model_len()
-    }
-
-    fn per_suffix(&self) -> Vec<(String, u64)> {
-        self.router.per_suffix()
-    }
-
-    fn reload(&self, args: &str) -> Result<String, String> {
-        // Cluster reloads are per shard: RELOAD SHARD <k> <path>.
-        let mut parts = args.split_whitespace();
-        match (parts.next(), parts.next(), parts.next(), parts.next()) {
-            (Some("SHARD"), Some(k), Some(path), None) => {
-                let k: u32 = k.parse().map_err(|_| format!("bad shard index {k:?}"))?;
-                let model = Model::load(path).map_err(|e| e.to_string())?;
-                let n = self.router.reload_shard(k, &model).map_err(|e| e.to_string())?;
-                Ok(format!("reloaded\tshard={k}\tconventions={n}"))
-            }
-            _ => Err("cluster reload usage: RELOAD SHARD <k> <path>".into()),
-        }
-    }
-
-    fn cluster_stats(&self) -> Option<String> {
-        let mut body = String::new();
-        for s in self.router.shard_stats() {
-            let _ = writeln!(
-                body,
-                "shard\t{}\tgeneration={}\tsuffixes={}\tqueries={}",
-                s.shard, s.generation, s.suffixes, s.queries
-            );
-        }
-        let c = self.router.cache_stats();
-        let _ = writeln!(
-            body,
-            "cache\tcapacity={}\tlen={}\thits={}\tmisses={}\tinserts={}\tevictions={}\tinvalidations={}",
-            self.router.cache().capacity(),
-            self.router.cache().len(),
-            c.hits,
-            c.misses,
-            c.inserts,
-            c.evictions,
-            c.invalidations
-        );
-        body.push_str(".\n");
-        Some(body)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{EvalCounts, ModelEntry};
+    use crate::Engine;
     use hoiho::classify::NcClass;
     use hoiho::regex::Regex;
     use hoiho::taxonomy::Taxonomy;
-    use hoiho_serve::model::{EvalCounts, ModelEntry};
+
+    /// suffix → owning shard, in the router's live snapshot.
+    fn owners(router: &ShardRouter) -> HashMap<String, u32> {
+        let snap = router.snapshot();
+        let by_shard = snap.shards.iter().enumerate();
+        by_shard
+            .flat_map(|(k, s)| s.ncs.iter().map(move |nc| (nc.suffix.clone(), k as u32)))
+            .collect()
+    }
 
     fn entry(suffix: &str, rx: &[&str]) -> ModelEntry {
         ModelEntry {
@@ -698,8 +608,8 @@ mod tests {
         }
     }
 
-    /// The router's route kind agrees with the dispatch outcome a
-    /// single engine over the whole model counts, host by host — the
+    /// The router's route kind agrees with the dispatch outcome of a
+    /// single engine over the whole model, host by host — the
     /// cases the dispatch order turns on: a keyed registrable domain
     /// beating a deeper key, deeper and shallower fallbacks, bare
     /// public suffixes, empty labels, case and trailing dots.
@@ -721,25 +631,19 @@ mod tests {
             "com",
             "",
         ];
-        let registry = hoiho_obs::Registry::new();
-        let mut single = Engine::new(&m);
-        single.attach_obs(hoiho_serve::engine::EngineObs::register(&registry));
-        let count = |d: &str| {
-            registry.counter("hoiho_engine_extractions_total", &[("dispatch", d)]).get()
-        };
+        let single = Engine::new(&m);
         for shards in [1u32, 2, 3, 4] {
             let router = ShardRouter::from_model(&m, shards, 0).unwrap();
             for h in hosts {
-                let before = ["exact", "fallback", "miss"].map(count);
-                single.extract(h);
-                let after = ["exact", "fallback", "miss"].map(count);
-                let (route, _) = router.compute(&h.to_ascii_lowercase(), &TraceCtx::off());
-                let kind = match route {
-                    Route::Exact { .. } => 0,
-                    Route::Fallback { .. } => 1,
-                    Route::Miss { .. } => 2,
-                };
-                assert_eq!(after[kind], before[kind] + 1, "shards={shards} host={h} {route:?}");
+                let lower = h.to_ascii_lowercase();
+                let (route, _) = router.compute(&router.snapshot(), &lower, &TraceCtx::off());
+                let agree = matches!(
+                    (route, single.dispatch(&lower)),
+                    (Route::Exact { .. }, Dispatch::Exact(_))
+                        | (Route::Fallback { .. }, Dispatch::Fallback(_))
+                        | (Route::Miss { .. }, Dispatch::Miss)
+                );
+                assert!(agree, "shards={shards} host={h} {route:?}");
             }
         }
     }
@@ -767,7 +671,7 @@ mod tests {
     fn reload_invalidates_only_what_it_must() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 64).unwrap();
-        let routing = router.routing.read().unwrap().owners.clone();
+        let routing = owners(&router);
         let nts_shard = routing["nts.ch"];
         // Prime: one exact answer per shard, one miss.
         for h in HOSTS {
@@ -820,14 +724,14 @@ mod tests {
     fn reload_may_not_steal_a_suffix() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 0).unwrap();
-        let routing = router.routing.read().unwrap().owners.clone();
+        let routing = owners(&router);
         let victim = &m.entries[0].suffix;
         let thief = (routing[victim] + 1) % 2;
         let steal = Model { entries: vec![m.entries[0].clone()] };
         let err = router.reload_shard(thief, &steal).unwrap_err();
-        assert!(err.0.contains("owned by shard"), "{err}");
+        assert!(err.0.contains("owned by both"), "{err}");
         // Nothing moved.
-        assert_eq!(router.lookup_uncached("a.b.as64500.equinix.com").asn, Some(64500));
+        assert_eq!(router.lookup("a.b.as64500.equinix.com").asn, Some(64500));
     }
 
     #[test]
@@ -839,9 +743,9 @@ mod tests {
         router.reload_shard(0, &fresh).unwrap();
         assert_eq!(router.lookup("as1.fresh.io").asn, Some(1), "new suffix routed after reload");
         // Suffixes previously on shard 0 are gone from routing.
-        let routing = router.routing.read().unwrap().owners.clone();
+        let routing = owners(&router);
         assert_eq!(routing.values().filter(|&&s| s == 0).count(), 1);
-        assert_eq!(router.model_len(), 1 + router.slots[1].gen.read().unwrap().engine.len());
+        assert_eq!(router.model_len(), 1 + router.snapshot().shards[1].ncs.len());
     }
 
     #[test]
@@ -857,9 +761,9 @@ mod tests {
     #[test]
     fn per_shard_metrics_account_exactly() {
         let m = model();
-        let obs = Arc::new(Obs::new());
-        let router = ShardRouter::from_model_obs(&m, 2, 64, Arc::clone(&obs)).unwrap();
-        let routing = router.routing.read().unwrap().owners.clone();
+        let router = ShardRouter::from_model(&m, 2, 64).unwrap();
+        let obs = router.obs();
+        let routing = owners(&router);
         let eq = routing["equinix.com"];
         let s = eq.to_string();
         let c = |name: &str, shard: &str| obs.registry().counter(name, &[("shard", shard)]).get();
@@ -912,20 +816,27 @@ mod tests {
         assert_eq!(total, lookups);
     }
 
+    /// One index walk per computed lookup: N cache-missing lookups
+    /// bump the three dispatch-outcome series by exactly N in total,
+    /// and cache hits bump none of them.
     #[test]
-    fn cluster_backend_protocol_surfaces() {
-        let router = Arc::new(ShardRouter::from_model(&model(), 2, 32).unwrap());
-        let backend = ClusterBackend::new(Arc::clone(&router));
-        assert_eq!(backend.query("a.b.as64500.equinix.com", &TraceCtx::off()).asn, Some(64500));
-        assert_eq!(backend.model_len(), 4);
-        assert_eq!(backend.per_suffix().len(), 4);
-        let stats = backend.cluster_stats().unwrap();
-        assert!(stats.contains("shard\t0\tgeneration=0"), "{stats}");
-        assert!(stats.contains("shard\t1\t"), "{stats}");
-        assert!(stats.contains("cache\tcapacity=32\t"), "{stats}");
-        assert!(stats.ends_with(".\n"), "{stats}");
-        assert!(backend.reload("not-a-shard-reload").unwrap_err().contains("usage"));
-        assert!(backend.reload("SHARD 99 /nope").unwrap_err().contains("bad shard")
-            || backend.reload("SHARD 99 /nope").is_err());
+    fn one_dispatch_per_computed_lookup() {
+        for shards in [1u32, 2, 3, 4] {
+            let router = ShardRouter::from_model(&model(), shards, 64).unwrap();
+            let dispatches =
+                || router.obs().registry().counter_sum("hoiho_engine_extractions_total");
+            for h in HOSTS {
+                router.lookup(h);
+            }
+            let computed = router.cache_stats().misses;
+            assert_eq!(dispatches(), computed, "shards={shards}");
+            router.lookup_batch(HOSTS);
+            assert_eq!(dispatches(), computed, "shards={shards}: hits must not dispatch");
+        }
+        let uncached = ShardRouter::from_model(&model(), 2, 0).unwrap();
+        uncached.lookup_batch(HOSTS);
+        uncached.lookup_batch(HOSTS);
+        let total = uncached.obs().registry().counter_sum("hoiho_engine_extractions_total");
+        assert_eq!(total, 2 * HOSTS.len() as u64);
     }
 }

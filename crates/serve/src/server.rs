@@ -1,4 +1,4 @@
-//! A concurrent TCP line-protocol server over an [`Engine`].
+//! A concurrent TCP line-protocol server over a [`ShardRouter`].
 //!
 //! ## Protocol
 //!
@@ -11,22 +11,32 @@
 //!   — lifetime totals plus the live model's convention count.
 //! * `STATS SUFFIX` → one `suffix\tqueries` line per convention of the
 //!   live model, terminated by a lone `.` line.
-//! * `STATS CLUSTER` → per-shard and response-cache counters when the
-//!   server runs the cluster backend (`.`-terminated), `err` otherwise.
+//! * `STATS CLUSTER` → one
+//!   `shard\t<k>\tgeneration=N\tsuffixes=N\tqueries=N` line per shard,
+//!   then `cache\tcapacity=N\tlen=N\thits=N\tmisses=N\tinserts=N\t\
+//!   evictions=N\tinvalidations=N`, terminated by a lone `.` line. A
+//!   default server is one shard with the cache off (capacity 0).
 //! * `METRICS` → the full metrics registry in Prometheus-style text
 //!   exposition (see `hoiho-obs`), terminated by a lone `.` line:
-//!   request counts by verb and outcome, the request latency
-//!   histogram, connection and protocol-error totals, plus whatever
-//!   the backend registered (engine dispatch outcomes, per-shard cache
-//!   counters). The rendered counters reflect traffic *before* the
-//!   `METRICS` request itself.
+//!   request counts by verb and outcome (`hoiho_requests_total`), the
+//!   request latency histogram (`hoiho_request_latency_ns`), connection
+//!   and protocol-error totals, the router's dispatch outcomes
+//!   (`hoiho_engine_extractions_total{dispatch}`, one per computed
+//!   lookup), and per-shard series (`hoiho_shard_queries_total`,
+//!   `hoiho_shard_reloads_total`, `hoiho_shard_generation`,
+//!   `hoiho_shard_suffixes`, `hoiho_cache_{hits,misses,evictions,
+//!   stale}_total`; cache traffic of uncovered hostnames under
+//!   `shard="none"`). The rendered counters reflect traffic *before*
+//!   the `METRICS` request itself.
 //! * `EVENTS [n]` → the last `n` (default: all buffered) structured
 //!   events as JSONL, `.`-terminated: slow queries over the
 //!   configurable threshold, reloads, admin refusals.
-//! * `RELOAD <path>` → `ok\treloaded\t<n>` after atomically installing
-//!   the model at `<path>`, or `err\t<message>` (the old model keeps
-//!   serving on failure). The cluster backend takes
-//!   `RELOAD SHARD <k> <path>` instead.
+//! * `RELOAD SHARD <k> <path>` →
+//!   `ok\treloaded\tshard=<k>\tconventions=<n>` after atomically
+//!   installing the model at `<path>` as shard `k`, or `err\t<message>`
+//!   (the old shard keeps serving on failure). On a one-shard server
+//!   `RELOAD <path>` is `RELOAD SHARD 0 <path>`; on more shards it is
+//!   an `err` with the usage message.
 //! * `SHUTDOWN` → `ok\tbye`, then the whole server drains and stops.
 //!   Requests already received on the same connection when the
 //!   `SHUTDOWN` line is processed are answered before the close.
@@ -39,10 +49,9 @@
 //!   query hit/miss totals; the batch itself counts once under
 //!   `verb="batch"` and observes the latency histogram once.
 //!
-//! The protocol loop is backend-agnostic: extraction, reload, and the
-//! stats listings go through the [`Backend`] trait, so the same server
-//! fronts a single hot-swappable engine ([`EngineBackend`]) or the
-//! suffix-sharded router in `hoiho-cluster`.
+//! Every lookup, reload and stats listing goes through the
+//! [`ShardRouter`] (see [`crate::router`]); a plain server is a
+//! one-shard router with the response cache off.
 //!
 //! ## Trust model
 //!
@@ -79,14 +88,13 @@
 //! (a pipelining client that never reads) is counted as a protocol
 //! error and dropped, bounding per-connection memory.
 //!
-//! In the default backend the live engine sits behind
-//! `RwLock<Arc<Generation>>`: each request clones the `Arc` under a
-//! read lock (nanoseconds), so a hot reload
-//! ([`ServerHandle::install`] or `RELOAD`) swaps the model without
-//! dropping or stalling open connections — in-flight requests finish on
-//! the engine they started with. Per-suffix counters are allocated per
-//! engine generation and travel with it, so a reload resets them while
-//! the lifetime totals keep counting.
+//! The router's live snapshot sits behind `RwLock<Arc<_>>`: each
+//! request (or whole `BATCH`) clones the `Arc` under a read lock
+//! (nanoseconds), so a hot reload swaps a shard without dropping or
+//! stalling open connections — in-flight requests finish on the
+//! snapshot they started with. Per-suffix counters belong to a shard
+//! generation and travel with it, so a reload resets that shard's
+//! while the lifetime totals keep counting.
 //!
 //! Shutdown is graceful: each loop answers every request already
 //! buffered on its connections (including requests pipelined behind
@@ -94,17 +102,19 @@
 //! grace period, closes, and joins. A per-loop eventfd wakes sleeping
 //! `epoll_wait`s so shutdown is prompt from any thread.
 
-use crate::engine::{Engine, EngineObs};
+use crate::engine::CompiledNc;
 use crate::model::Model;
+use crate::router::ShardRouter;
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use hoiho::classify::NcClass;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{slo, span, Counter, Histogram, Obs, Phase, PhaseCell, Registry};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -151,45 +161,6 @@ const PROFILE_INTERVAL: Duration = Duration::from_millis(5);
 /// comfortably finer than the smallest burn-rate window (10 s).
 const SLO_TICK_ROUNDS: u64 = 64;
 
-/// One engine generation: the compiled model plus its per-suffix
-/// query counters (index-aligned with [`Engine::conventions`]).
-pub struct Generation {
-    /// The compiled model.
-    pub engine: Arc<Engine>,
-    /// Queries dispatched to each convention since this generation was
-    /// installed.
-    pub per_suffix: Vec<AtomicU64>,
-}
-
-impl Generation {
-    /// Wraps an engine with fresh per-suffix counters. Public because
-    /// the cluster router reuses generations as its per-shard unit.
-    pub fn new(engine: Arc<Engine>) -> Arc<Generation> {
-        let per_suffix = (0..engine.len()).map(|_| AtomicU64::new(0)).collect();
-        Arc::new(Generation { engine, per_suffix })
-    }
-
-    /// Runs one extraction, bumping the dispatched suffix's counter.
-    pub fn query(&self, hostname: &str) -> QueryAnswer {
-        let x = self.engine.extract(hostname);
-        self.answer_of(x)
-    }
-
-    /// Converts an engine extraction into the protocol-level answer,
-    /// counting the dispatch.
-    pub fn answer_of(&self, x: crate::engine::Extraction) -> QueryAnswer {
-        let (suffix, class) = match x.nc {
-            Some(i) => {
-                self.per_suffix[i].fetch_add(1, Ordering::Relaxed);
-                let nc = &self.engine.conventions()[i];
-                (Some(nc.suffix.clone()), Some(nc.class))
-            }
-            None => (None, None),
-        };
-        QueryAnswer { asn: x.asn, suffix, class }
-    }
-}
-
 /// One extraction answer as the protocol reports it: ASN, dispatched
 /// suffix, and the suffix's §4 class (`None` marks the `-` fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,6 +176,16 @@ pub struct QueryAnswer {
 impl QueryAnswer {
     /// The answer for a hostname no convention covers.
     pub const MISS: QueryAnswer = QueryAnswer { asn: None, suffix: None, class: None };
+
+    /// The answer of a lookup dispatched to `nc` (`None`: no suffix
+    /// covered the hostname) that extracted `asn`.
+    pub(crate) fn new(nc: Option<&CompiledNc>, asn: Option<u32>) -> QueryAnswer {
+        QueryAnswer {
+            asn,
+            suffix: nc.map(|nc| nc.suffix.clone()),
+            class: nc.map(|nc| nc.class),
+        }
+    }
 
     /// Renders the tab-separated response fields after the echoed
     /// hostname: `<asn|->\t<suffix|->\t<class|->`.
@@ -248,127 +229,6 @@ impl QueryAnswer {
     }
 }
 
-/// What the TCP server needs from an extraction backend. The default
-/// backend is a single hot-swappable engine ([`EngineBackend`]); the
-/// cluster crate plugs a suffix-sharded router with a response cache in
-/// through the same seam, so the protocol loop is written once.
-pub trait Backend: Send + Sync + 'static {
-    /// Answers one hostname query. `ctx` is the request's tracing
-    /// context — [`TraceCtx::off`] for the unsampled common case (one
-    /// branch per layer); a sampled context records per-layer spans
-    /// into the shared ring (DESIGN §7i).
-    fn query(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer;
-    /// Convention count reported by `STATS` as `model=`.
-    fn model_len(&self) -> usize;
-    /// Per-suffix query counts for `STATS SUFFIX`, in index order.
-    fn per_suffix(&self) -> Vec<(String, u64)>;
-    /// Handles the argument text of a `RELOAD` request. Returns the
-    /// response payload after `ok\t` (e.g. `reloaded\t12`), or the
-    /// error message after `err\t`. Must leave the old state serving on
-    /// failure.
-    fn reload(&self, args: &str) -> Result<String, String>;
-    /// The full multi-line `STATS CLUSTER` response body including the
-    /// terminating `.\n`, or `None` when the backend is not a cluster.
-    fn cluster_stats(&self) -> Option<String> {
-        None
-    }
-    /// Answers a `BATCH` of hostnames, one answer per input in order.
-    /// The default maps [`Backend::query`]; backends override it to
-    /// amortise per-query setup across the batch (the engine backend
-    /// resolves its live generation once).
-    fn query_batch(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        hostnames.iter().map(|h| self.query(h, ctx)).collect()
-    }
-}
-
-/// The default backend: one engine behind `RwLock<Arc<Generation>>`,
-/// hot-swappable as a whole.
-pub struct EngineBackend {
-    live: RwLock<Arc<Generation>>,
-    /// Dispatch-outcome counters re-attached to every engine a
-    /// `RELOAD` builds, so the counters survive reloads.
-    engine_obs: Option<EngineObs>,
-}
-
-impl EngineBackend {
-    /// Wraps an engine as generation zero.
-    pub fn new(engine: Arc<Engine>) -> EngineBackend {
-        EngineBackend { live: RwLock::new(Generation::new(engine)), engine_obs: None }
-    }
-
-    /// Wraps an engine as generation zero and remembers `obs` so
-    /// engines built by [`Backend::reload`] keep counting into the
-    /// same dispatch-outcome series. The caller usually attaches the
-    /// same `obs` to `engine` itself first.
-    pub fn with_engine_obs(engine: Arc<Engine>, obs: EngineObs) -> EngineBackend {
-        EngineBackend { live: RwLock::new(Generation::new(engine)), engine_obs: Some(obs) }
-    }
-
-    /// Atomically installs a new engine: per-suffix counters restart,
-    /// in-flight requests finish on the generation they started with.
-    pub fn install(&self, engine: Arc<Engine>) {
-        *self.live.write().expect("generation lock poisoned") = Generation::new(engine);
-    }
-
-    /// The live generation.
-    pub fn generation(&self) -> Arc<Generation> {
-        self.live.read().expect("generation lock poisoned").clone()
-    }
-}
-
-impl Backend for EngineBackend {
-    fn query(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
-        let gen = self.generation();
-        let mut sp = ctx.span(Layer::Engine);
-        let answer = gen.query(hostname);
-        sp.detail(if answer.asn.is_some() { detail::EXTRACT_HIT } else { detail::EXTRACT_MISS });
-        answer
-    }
-
-    fn model_len(&self) -> usize {
-        self.generation().engine.len()
-    }
-
-    fn per_suffix(&self) -> Vec<(String, u64)> {
-        let gen = self.generation();
-        gen.engine
-            .conventions()
-            .iter()
-            .zip(&gen.per_suffix)
-            .map(|(nc, n)| (nc.suffix.clone(), n.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    fn reload(&self, args: &str) -> Result<String, String> {
-        let model = Model::load(args.trim()).map_err(|e| e.to_string())?;
-        let mut engine = Engine::new(&model);
-        if let Some(obs) = &self.engine_obs {
-            engine.attach_obs(obs.clone());
-        }
-        let engine = Arc::new(engine);
-        let n = engine.len();
-        self.install(engine);
-        Ok(format!("reloaded\t{n}"))
-    }
-
-    fn query_batch(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        // One generation resolution (read lock + Arc clone) per batch
-        // instead of per item; in-flight batches finish on the
-        // generation they started with, like single queries. One engine
-        // span covers the whole batch — per-item spans would exhaust
-        // the trace budget on a single large batch.
-        let gen = self.generation();
-        let mut sp = ctx.span(Layer::Engine);
-        let answers: Vec<QueryAnswer> = hostnames.iter().map(|h| gen.query(h)).collect();
-        sp.detail(if answers.iter().any(|a| a.asn.is_some()) {
-            detail::EXTRACT_HIT
-        } else {
-            detail::EXTRACT_MISS
-        });
-        answers
-    }
-}
-
 /// Counters shared by all workers for the server's lifetime.
 #[derive(Default)]
 struct Totals {
@@ -389,8 +249,8 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Connections accepted.
     pub conns: u64,
-    /// Per-suffix query counts for the live generation, as
-    /// `(suffix, queries)` in engine index order.
+    /// Per-suffix query counts since each shard's last reload, as
+    /// `(suffix, queries)` shard by shard in index order.
     pub per_suffix: Vec<(String, u64)>,
 }
 
@@ -422,10 +282,10 @@ impl ServerMetrics {
     }
 }
 
-/// Shared server state: the extraction backend, lifetime totals, and
-/// the observability context.
+/// Shared server state: the router, lifetime totals, and the
+/// observability context (the router's).
 struct Shared {
-    backend: Arc<dyn Backend>,
+    router: Arc<ShardRouter>,
     totals: Totals,
     shutdown: AtomicBool,
     obs: Arc<Obs>,
@@ -437,10 +297,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(backend: Arc<dyn Backend>, obs: Arc<Obs>) -> Shared {
+    fn new(router: Arc<ShardRouter>) -> Shared {
+        let obs = Arc::clone(router.obs());
         let metrics = ServerMetrics::register(obs.registry());
         Shared {
-            backend,
+            router,
             totals: Totals::default(),
             shutdown: AtomicBool::new(false),
             obs,
@@ -499,75 +360,20 @@ fn trace_ctx(shared: &Shared) -> TraceCtx<'_> {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Present when the server was started over a single engine;
-    /// [`ServerHandle::install`] needs it.
-    engine_backend: Option<Arc<EngineBackend>>,
     loops: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts `workers` readiness event loops (0 = one per core) over
-    /// a single hot-swappable engine. Metrics and events go to a fresh
-    /// private [`Obs`] reachable through [`ServerHandle::obs`].
+    /// `router`. Metrics, events, traces, profiles and SLOs go to the
+    /// router's observability context ([`ShardRouter::obs`]), so
+    /// `METRICS` reports the protocol and routing layers in one
+    /// document.
     pub fn start(
         addr: impl ToSocketAddrs,
-        engine: Arc<Engine>,
+        router: Arc<ShardRouter>,
         workers: usize,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_obs(addr, engine, workers, Arc::new(Obs::new()))
-    }
-
-    /// [`ServerHandle::start`] with a caller-provided observability
-    /// context (to share one `METRICS` document with other components,
-    /// or to let a test account for traffic exactly). The engine gets
-    /// dispatch-outcome counters registered in `obs` attached — to a
-    /// private clone, so the caller's `engine` is not mutated.
-    pub fn start_obs(
-        addr: impl ToSocketAddrs,
-        engine: Arc<Engine>,
-        workers: usize,
-        obs: Arc<Obs>,
-    ) -> std::io::Result<ServerHandle> {
-        let engine_obs = EngineObs::register(obs.registry());
-        let mut counted = (*engine).clone();
-        counted.attach_obs(engine_obs.clone());
-        let backend =
-            Arc::new(EngineBackend::with_engine_obs(Arc::new(counted), engine_obs));
-        Self::start_inner(addr, backend.clone(), Some(backend), workers, obs)
-    }
-
-    /// Like [`ServerHandle::start`], but over a caller-provided backend
-    /// (e.g. the cluster router). [`ServerHandle::install`] is not
-    /// available on such a server — reloads go through
-    /// [`Backend::reload`].
-    pub fn start_with_backend(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        workers: usize,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_inner(addr, backend, None, workers, Arc::new(Obs::new()))
-    }
-
-    /// [`ServerHandle::start_with_backend`] with a caller-provided
-    /// observability context. Pass the same `Arc<Obs>` the backend
-    /// registered its own metrics in (as the cluster router does) and
-    /// `METRICS` reports both layers in one document.
-    pub fn start_with_backend_obs(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        workers: usize,
-        obs: Arc<Obs>,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_inner(addr, backend, None, workers, obs)
-    }
-
-    fn start_inner(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        engine_backend: Option<Arc<EngineBackend>>,
-        workers: usize,
-        obs: Arc<Obs>,
     ) -> std::io::Result<ServerHandle> {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -577,7 +383,7 @@ impl ServerHandle {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(backend, obs));
+        let shared = Arc::new(Shared::new(router));
 
         // Every loop gets a dup of the listener fd (accept is atomic
         // across dups — a wakeup lost to a sibling resolves as
@@ -613,7 +419,7 @@ impl ServerHandle {
             }));
         }
 
-        Ok(ServerHandle { addr, shared, engine_backend, loops: loop_handles })
+        Ok(ServerHandle { addr, shared, loops: loop_handles })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -627,22 +433,7 @@ impl ServerHandle {
         &self.shared.obs
     }
 
-    /// Atomically installs a new engine. Requests already dispatched
-    /// finish on the old generation; every later request sees the new
-    /// one. Per-suffix counters restart; lifetime totals continue.
-    ///
-    /// # Panics
-    ///
-    /// If the server was started with [`ServerHandle::start_with_backend`]
-    /// — custom backends reload through [`Backend::reload`].
-    pub fn install(&self, engine: Arc<Engine>) {
-        self.engine_backend
-            .as_ref()
-            .expect("install() requires the single-engine backend")
-            .install(engine);
-    }
-
-    /// Snapshots the lifetime totals and the backend's per-suffix
+    /// Snapshots the lifetime totals and the router's per-suffix
     /// counters.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -650,7 +441,7 @@ impl ServerHandle {
             misses: self.shared.totals.misses.load(Ordering::Relaxed),
             errors: self.shared.totals.errors.load(Ordering::Relaxed),
             conns: self.shared.totals.conns.load(Ordering::Relaxed),
-            per_suffix: self.shared.backend.per_suffix(),
+            per_suffix: self.shared.router.per_suffix(),
         }
     }
 
@@ -1152,10 +943,9 @@ fn serve_batch(hosts: &[String], out: &mut Vec<u8>, shared: &Shared, phase: &Pha
         let mut root = ctx.span(Layer::Server);
         root.detail(detail::BATCH);
         phase.set(Phase::Backend);
-        shared.backend.query_batch(&refs, &ctx)
+        shared.router.lookup_batch_traced(&refs, &ctx)
     };
     phase.set(Phase::Write);
-    debug_assert_eq!(answers.len(), hosts.len(), "backend must answer every batch item");
     let mut hits = 0u64;
     for a in &answers {
         hits += u64::from(a.asn.is_some());
@@ -1205,24 +995,18 @@ fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> Strin
                 t.misses.load(Ordering::Relaxed),
                 t.errors.load(Ordering::Relaxed),
                 t.conns.load(Ordering::Relaxed),
-                shared.backend.model_len(),
+                shared.router.model_len(),
             )
         }
         "STATS SUFFIX" => {
             let mut out = String::new();
-            for (suffix, n) in shared.backend.per_suffix() {
+            for (suffix, n) in shared.router.per_suffix() {
                 out.push_str(&format!("{suffix}\t{n}\n"));
             }
             out.push_str(".\n");
             out
         }
-        "STATS CLUSTER" => match shared.backend.cluster_stats() {
-            Some(body) => body,
-            None => {
-                shared.count_error();
-                "err\tnot a cluster backend\n".to_string()
-            }
-        },
+        "STATS CLUSTER" => cluster_stats(&shared.router),
         "METRICS" => {
             let mut out = shared.obs.registry().render();
             out.push_str(".\n");
@@ -1304,7 +1088,7 @@ fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> Strin
                 return refuse_admin("reload", shared);
             }
             let args = &request["RELOAD ".len()..];
-            match shared.backend.reload(args) {
+            match reload(&shared.router, args) {
                 Ok(msg) => {
                     shared
                         .obs
@@ -1323,7 +1107,7 @@ fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> Strin
             }
         }
         hostname => {
-            let answer = shared.backend.query(hostname, ctx);
+            let answer = shared.router.lookup_traced(hostname, ctx);
             match answer.asn {
                 Some(_) => {
                     shared.totals.hits.fetch_add(1, Ordering::Relaxed);
@@ -1337,6 +1121,50 @@ fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> Strin
             format!("{hostname}\t{}\n", answer.render_fields())
         }
     }
+}
+
+/// The `RELOAD` usage message, answered to a malformed request.
+const RELOAD_USAGE: &str =
+    "reload usage: RELOAD SHARD <k> <path> (RELOAD <path> needs a one-shard server)";
+
+/// Handles the argument text of a `RELOAD` request (module docs).
+/// Returns the response payload after `ok\t`, or the error message
+/// after `err\t`; the old shard keeps serving on failure.
+fn reload(router: &ShardRouter, args: &str) -> Result<String, String> {
+    let (k, path) = match args.split_whitespace().collect::<Vec<_>>()[..] {
+        ["SHARD", k, path] => (k.parse().map_err(|_| format!("bad shard index {k:?}"))?, path),
+        [path] if path != "SHARD" && router.shards() == 1 => (0, path),
+        _ => return Err(RELOAD_USAGE.into()),
+    };
+    let model = Model::load(path).map_err(|e| e.to_string())?;
+    let n = router.reload_shard(k, &model).map_err(|e| e.to_string())?;
+    Ok(format!("reloaded\tshard={k}\tconventions={n}"))
+}
+
+/// The `STATS CLUSTER` response body, `.`-terminated (module docs).
+fn cluster_stats(router: &ShardRouter) -> String {
+    let mut body = String::new();
+    for s in router.shard_stats() {
+        let _ = writeln!(
+            body,
+            "shard\t{}\tgeneration={}\tsuffixes={}\tqueries={}",
+            s.shard, s.generation, s.suffixes, s.queries
+        );
+    }
+    let c = router.cache_stats();
+    let _ = writeln!(
+        body,
+        "cache\tcapacity={}\tlen={}\thits={}\tmisses={}\tinserts={}\tevictions={}\tinvalidations={}",
+        router.cache().capacity(),
+        router.cache().len(),
+        c.hits,
+        c.misses,
+        c.inserts,
+        c.evictions,
+        c.invalidations
+    );
+    body.push_str(".\n");
+    body
 }
 
 /// Counts and logs a refused admin verb, returning the refusal line.
@@ -1576,8 +1404,13 @@ mod tests {
         }
     }
 
+    /// The router a plain `serve` builds: one shard, no cache.
+    fn router(model: &Model) -> Arc<ShardRouter> {
+        Arc::new(ShardRouter::new(std::slice::from_ref(model), 0).unwrap())
+    }
+
     fn start(model: &Model, workers: usize) -> ServerHandle {
-        ServerHandle::start("127.0.0.1:0", Arc::new(Engine::new(model)), workers).unwrap()
+        ServerHandle::start("127.0.0.1:0", router(model), workers).unwrap()
     }
 
     #[test]
@@ -1625,12 +1458,13 @@ mod tests {
 
     #[test]
     fn hot_reload_swaps_without_dropping_connections() {
-        let srv = start(&model("example.com", r"^as(\d+)\.example\.com$"), 2);
+        let router = router(&model("example.com", r"^as(\d+)\.example\.com$"));
+        let srv = ServerHandle::start("127.0.0.1:0", Arc::clone(&router), 2).unwrap();
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
         assert_eq!(c.query("r2.other.net").unwrap(), None);
         // Install a different model; the same connection sees it.
-        srv.install(Arc::new(Engine::new(&model("other.net", r"^r(\d+)\.other\.net$"))));
+        router.reload_shard(0, &model("other.net", r"^r(\d+)\.other\.net$")).unwrap();
         assert_eq!(c.query("as1.example.com").unwrap(), None);
         assert_eq!(c.query("r2.other.net").unwrap(), Some(2));
         // Per-suffix counters restarted with the new generation.
@@ -1654,11 +1488,39 @@ mod tests {
         assert!(resp.starts_with("err\t"), "{resp}");
         assert_eq!(c.query("as5.example.com").unwrap(), Some(5));
         let resp = c.request(&format!("RELOAD {}", path.display())).unwrap();
-        assert_eq!(resp, "ok\treloaded\t1");
+        assert_eq!(resp, "ok\treloaded\tshard=0\tconventions=1");
         assert_eq!(c.query("r7.other.net").unwrap(), Some(7));
         assert_eq!(srv.stats().errors, 1);
         srv.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `STATS CLUSTER` answers on every server, and `RELOAD <path>` is
+    /// the one-shard form of `RELOAD SHARD 0 <path>`.
+    #[test]
+    fn stats_cluster_and_reload_forms() {
+        let mut m = model("example.com", r"^as(\d+)\.example\.com$");
+        m.entries.extend(model("other.net", r"^r(\d+)\.other\.net$").entries);
+        let off = TraceCtx::off();
+        let one = Shared::new(router(&m));
+        let stats = respond("STATS CLUSTER", true, &one, &off);
+        assert!(stats.starts_with("shard\t0\tgeneration=0\tsuffixes=2\t"), "{stats}");
+        assert!(stats.contains("\ncache\tcapacity=0\t"), "{stats}");
+        assert!(stats.ends_with(".\n"), "{stats}");
+
+        let two = Shared::new(Arc::new(ShardRouter::from_model(&m, 2, 32).unwrap()));
+        let stats = respond("STATS CLUSTER", true, &two, &off);
+        assert!(stats.contains("shard\t1\t"), "{stats}");
+        assert!(stats.contains("cache\tcapacity=32\t"), "{stats}");
+        for bad in ["RELOAD /some/path", "RELOAD SHARD 1", "RELOAD not a reload"] {
+            let resp = respond(bad, true, &two, &off);
+            assert!(resp.starts_with("err\treload usage: "), "{bad} -> {resp}");
+        }
+        let resp = respond("RELOAD SHARD x /nope", true, &two, &off);
+        assert!(resp.starts_with("err\tbad shard index"), "{resp}");
+        let resp = respond("RELOAD SHARD 99 /nope", true, &two, &off);
+        assert!(resp.starts_with("err\t"), "{resp}");
+        assert_eq!(two.totals.errors.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -1739,10 +1601,7 @@ mod tests {
     #[test]
     fn admin_verbs_refused_for_non_loopback_peers() {
         let m = model("example.com", r"^as(\d+)\.example\.com$");
-        let shared = Shared::new(
-            Arc::new(EngineBackend::new(Arc::new(Engine::new(&m)))),
-            Arc::new(Obs::new()),
-        );
+        let shared = Shared::new(router(&m));
         let off = TraceCtx::off();
         assert_eq!(respond("SHUTDOWN", false, &shared, &off), ERR_NOT_ADMIN);
         assert!(!shared.shutdown.load(Ordering::SeqCst), "non-admin SHUTDOWN must not stop the server");
@@ -2031,14 +1890,15 @@ mod tests {
         srv.obs().sampler().configure(1, 42);
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
-        assert_eq!(c.query("nope.example.org").unwrap(), None);
+        assert_eq!(c.query("core1.example.com").unwrap(), None);
         let first = c.request("TRACES").unwrap();
         let mut lines = vec![first];
         lines.extend(c.read_until_dot().unwrap());
         let text = lines.join("\n");
         let spans = span::parse_jsonl(&text).unwrap();
-        // Two sampled requests, each a server root + an engine child.
-        assert_eq!(spans.len(), 4, "{text}");
+        // Two sampled requests, each a server root, a router child and
+        // an engine grandchild (no cache span: the cache is off).
+        assert_eq!(spans.len(), 6, "{text}");
         let roots: Vec<_> = spans.iter().filter(|s| s.is_root()).collect();
         assert_eq!(roots.len(), 2, "{text}");
         assert!(roots.iter().all(|s| s.layer == Layer::Server && s.detail == detail::QUERY));
@@ -2048,7 +1908,8 @@ mod tests {
         for e in &engines {
             let parent =
                 spans.iter().find(|s| s.trace == e.trace && s.id == e.parent).unwrap();
-            assert_eq!(parent.layer, Layer::Server, "engine span must hang off the root");
+            assert_eq!(parent.layer, Layer::Router, "engine span must hang off the router");
+            assert_eq!(parent.detail, detail::EXACT);
         }
         assert_eq!(engines[0].detail, detail::EXTRACT_HIT);
         assert_eq!(engines[1].detail, detail::EXTRACT_MISS);

@@ -8,7 +8,7 @@
 use hoiho::classify::NcClass;
 use hoiho::regex::Regex;
 use hoiho::taxonomy::Taxonomy;
-use hoiho_cluster::{plan, split, suffix_weight, ShardMap, ShardRouter};
+use hoiho_serve::{plan, split, suffix_weight, ShardMap, ShardRouter};
 use hoiho_devkit::prop::{any, string_of, vec_of, Gen};
 use hoiho_devkit::{prop_assert, prop_assert_eq, props};
 use hoiho_serve::model::{EvalCounts, Model, ModelEntry};

@@ -6,7 +6,8 @@
 #   3. The full test suite, offline, then the suites of the crates the
 #      root package does not cover (hoiho — including the compiled-vs-
 #      interpreter regex and classification oracles — hoiho-psl,
-#      hoiho-serve, hoiho-cluster, hoiho-fuzz), then the substrate suites
+#      hoiho-serve, hoiho-cluster, hoiho-fuzz, hoiho-obs, hoiho-scenario,
+#      hoiho-devkit), then the substrate suites
 #      (hoiho-asdb, hoiho-netsim, hoiho-bdrmap, hoiho-itdk, hoiho-pdb:
 #      including the golden traceroute digest and the byte-identity of
 #      the dense-table traceroute, alias resolution and router graph
@@ -18,7 +19,9 @@
 #      (ii) with every matrix cell evaluated and with every column built
 #      through dispatch.
 #   4. A live smoke test of the serving subsystem: learn a model from a
-#      simulated snapshot, serve it over TCP, drive one query + STATS,
+#      simulated snapshot, serve it over TCP with no flags (a one-shard
+#      router, cache off), drive one query + STATS, check STATS CLUSTER
+#      reports shard 0 and that `RELOAD <path>` reloads it as shard 0,
 #      and shut down cleanly.
 #   5. A live smoke test of the cluster tier: shard that model, serve it
 #      with --shards 2 plus a response cache, query hostnames landing on
@@ -66,7 +69,8 @@ cd "$(dirname "$0")/.."
 ./scripts/no-external-deps.sh
 cargo build --release --offline --workspace --examples --bins
 cargo test -q --offline
-cargo test -q --offline -p hoiho -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz
+cargo test -q --offline -p hoiho -p hoiho-psl -p hoiho-serve -p hoiho-cluster -p hoiho-fuzz \
+    -p hoiho-obs -p hoiho-scenario -p hoiho-devkit
 cargo test -q --offline -p hoiho-asdb -p hoiho-netsim -p hoiho-bdrmap -p hoiho-itdk -p hoiho-pdb
 
 # --- learner equivalence gates, by name, so a filter typo in the suite
@@ -122,6 +126,12 @@ done
 
 "$SRV" send "$ADDR" smoke-test.invalid | grep -q "smoke-test.invalid"
 "$SRV" send "$ADDR" STATS | grep -q "^stats"
+# The flagless server is a one-shard router: STATS CLUSTER lists shard
+# 0, and `RELOAD <path>` is `RELOAD SHARD 0 <path>`.
+"$SRV" send "$ADDR" "STATS CLUSTER" | grep -q "^shard	0	" \
+    || { echo "tier1: default server's STATS CLUSTER lacks shard 0" >&2; exit 1; }
+"$SRV" send "$ADDR" "RELOAD $SMOKE_DIR/model.hoiho" | grep -q "^ok	reloaded	shard=0	" \
+    || { echo "tier1: default server's RELOAD <path> did not reload shard 0" >&2; exit 1; }
 "$SRV" send "$ADDR" SHUTDOWN | grep -q "^ok"
 wait "$SRV_PID"
 SRV_PID=

@@ -10,13 +10,12 @@
 //! change an answer. A zero-rate control run proves the chaos path
 //! itself is transparent: no errors, every answer verified.
 
-use hoiho_repro::cluster::{ClusterBackend, ShardRouter};
 use hoiho_repro::hoiho::classify::NcClass;
 use hoiho_repro::hoiho::regex::Regex;
 use hoiho_repro::hoiho::taxonomy::Taxonomy;
 use hoiho_repro::serve::model::{EvalCounts, Model, ModelEntry};
-use hoiho_repro::serve::server::{Backend, Client};
-use hoiho_repro::serve::{ChaosConfig, Engine, EngineBackend, ServerHandle};
+use hoiho_repro::serve::server::Client;
+use hoiho_repro::serve::{ChaosConfig, Engine, ServerHandle, ShardRouter};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +78,7 @@ fn split_response(resp: &str) -> Option<(&str, String)> {
 /// Returns (verified, errors).
 fn run_chaos_conn(
     addr: std::net::SocketAddr,
-    reference: &EngineBackend,
+    reference: &Engine,
     rate: f64,
     seed: u64,
     requests: usize,
@@ -114,7 +113,7 @@ fn run_chaos_conn(
                 Some((echoed, fields)) => {
                     assert_eq!(
                         fields,
-                        reference.query(echoed, &hoiho_repro::obs::TraceCtx::off()).render_fields(),
+                        reference.answer(echoed).render_fields(),
                         "sharded answer for received request {echoed:?} diverged \
                          from the single engine"
                     );
@@ -141,9 +140,8 @@ fn run_chaos_conn(
 fn chaos_clients_terminate_and_surviving_answers_match_single_engine() {
     let model = model();
     let router = Arc::new(ShardRouter::from_model(&model, 2, 128).expect("build router"));
-    let backend = Arc::new(ClusterBackend::new(router));
-    let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend, 2).expect("bind");
-    let reference = EngineBackend::new(Arc::new(Engine::new(&model)));
+    let srv = ServerHandle::start("127.0.0.1:0", router, 2).expect("bind");
+    let reference = Engine::new(&model);
 
     // Zero-rate control: the chaos wrapper must be transparent.
     let (verified, errors) = run_chaos_conn(srv.local_addr(), &reference, 0.0, 0xC0FFEE, 120);

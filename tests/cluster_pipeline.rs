@@ -5,15 +5,14 @@
 //! the same invariant over a live TCP cluster server with per-shard
 //! reload and `STATS CLUSTER`.
 
-use hoiho_repro::cluster::{
-    shard_file_name, split, ClusterBackend, ShardMap, ShardRouter, SHARDMAP_FILE_NAME,
-};
 use hoiho_repro::hoiho::learner::{learn_all, LearnConfig, LearnedConvention};
 use hoiho_repro::itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_repro::netsim::SimConfig;
 use hoiho_repro::psl::PublicSuffixList;
 use hoiho_repro::serve::server::Client;
-use hoiho_repro::serve::{Engine, Model, ServerHandle};
+use hoiho_repro::serve::{
+    shard_file_name, split, Engine, Model, ServerHandle, ShardMap, ShardRouter, SHARDMAP_FILE_NAME,
+};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -108,8 +107,7 @@ fn live_tcp_cluster_server_smoke() {
     let model = Model::from_learned(&learned);
     let single = Engine::new(&model);
     let router = Arc::new(ShardRouter::from_model(&model, 2, 128).expect("build router"));
-    let backend = Arc::new(ClusterBackend::new(Arc::clone(&router)));
-    let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend, 2).expect("bind");
+    let srv = ServerHandle::start("127.0.0.1:0", Arc::clone(&router), 2).expect("bind");
     let addr = srv.local_addr();
 
     let hostnames: Vec<String> = snap

@@ -5,7 +5,6 @@
 //! to a single engine on a scenario-compiled world, so the quality
 //! matrix is the same number no matter which tier computed it.
 
-use hoiho_repro::cluster::ShardRouter;
 use hoiho_repro::hoiho::learner::{learn_all, LearnConfig};
 use hoiho_repro::hoiho::quality::QualityCounts;
 use hoiho_repro::itdk::{BuiltSnapshot, Method, SnapshotSpec};
@@ -13,7 +12,7 @@ use hoiho_repro::psl::PublicSuffixList;
 use hoiho_repro::scenario::compile::ground_truth_rows;
 use hoiho_repro::scenario::traffic::universe;
 use hoiho_repro::scenario::Scenario;
-use hoiho_repro::serve::{Engine, Model};
+use hoiho_repro::serve::{Engine, Model, ShardRouter};
 use std::path::Path;
 
 fn corpus(name: &str) -> Scenario {

@@ -1,17 +1,16 @@
 //! Serving-subsystem integration: synthetic Internet → learner → model
-//! artifact on disk → extraction engine → TCP server, asserting the
-//! served answers are indistinguishable from running the learner's
-//! conventions directly.
+//! artifact on disk → extraction engine and shard router → TCP server,
+//! asserting the served answers are indistinguishable from running the
+//! learner's conventions directly.
 
 use hoiho_devkit::rng::StdRng;
 use hoiho_devkit::{RngExt, SeedableRng};
-use hoiho_repro::cluster::{ClusterBackend, ShardRouter};
 use hoiho_repro::hoiho::learner::{learn_all, LearnConfig, LearnedConvention};
 use hoiho_repro::itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_repro::netsim::SimConfig;
 use hoiho_repro::psl::PublicSuffixList;
 use hoiho_repro::serve::server::Client;
-use hoiho_repro::serve::{Engine, Model, ServerHandle};
+use hoiho_repro::serve::{Engine, Model, ServerHandle, ShardRouter};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -28,6 +27,11 @@ fn learn(seed: u64) -> (BuiltSnapshot, Vec<LearnedConvention>) {
     let groups = snap.training_set().by_suffix(&PublicSuffixList::builtin());
     let learned = learn_all(&groups, &LearnConfig::default());
     (snap, learned)
+}
+
+/// The router a plain `hoiho-serve serve` builds: one shard, no cache.
+fn default_router(model: &Model) -> Arc<ShardRouter> {
+    Arc::new(ShardRouter::from_model(model, 1, 0).expect("router"))
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -102,8 +106,9 @@ fn live_tcp_server_smoke() {
     // Serve the learned model on an ephemeral port, query it over real
     // sockets, read STATS, and shut down cleanly.
     let (snap, learned) = learn(991);
-    let engine = Arc::new(Engine::new(&Model::from_learned(&learned)));
-    let srv = ServerHandle::start("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+    let model = Model::from_learned(&learned);
+    let engine = Engine::new(&model);
+    let srv = ServerHandle::start("127.0.0.1:0", default_router(&model), 2).expect("bind");
     let addr = srv.local_addr();
 
     let hostnames: Vec<String> = snap
@@ -147,8 +152,8 @@ fn live_tcp_server_smoke() {
 #[test]
 fn pipelined_stream_split_at_arbitrary_boundaries_answers_in_order() {
     let (snap, learned) = learn(4242);
-    let engine = Arc::new(Engine::new(&Model::from_learned(&learned)));
-    let srv = ServerHandle::start("127.0.0.1:0", engine, 2).expect("bind");
+    let model = Model::from_learned(&learned);
+    let srv = ServerHandle::start("127.0.0.1:0", default_router(&model), 2).expect("bind");
     let addr = srv.local_addr();
 
     let hostnames: Vec<String> = snap
@@ -205,8 +210,9 @@ fn pipelined_stream_split_at_arbitrary_boundaries_answers_in_order() {
 }
 
 /// `BATCH` answers are byte-identical to one-at-a-time queries, for
-/// both the single-engine backend and the sharded cluster backend —
-/// and sharded batches agree with the single engine host for host.
+/// the default server (one shard, no cache) and for sharded, cached
+/// servers — and every server agrees with `Engine::extract` over the
+/// whole model, host for host.
 #[test]
 fn batch_matches_single_queries_on_engine_and_cluster_backends() {
     let (snap, learned) = learn(991);
@@ -219,31 +225,32 @@ fn batch_matches_single_queries_on_engine_and_cluster_backends() {
         .map(|o| o.hostname.clone())
         .collect();
 
-    let single_engine_answers;
+    let engine = Engine::new(&model);
+    let single_engine_answers: Vec<String> = hostnames
+        .iter()
+        .map(|h| format!("{h}\t{}", engine.answer(h).render_fields()))
+        .collect();
     {
-        let engine = Arc::new(Engine::new(&model));
-        let srv = ServerHandle::start("127.0.0.1:0", engine, 2).expect("bind");
+        let srv = ServerHandle::start("127.0.0.1:0", default_router(&model), 2).expect("bind");
         let mut c = Client::connect(srv.local_addr()).expect("connect");
         let singles: Vec<String> =
             hostnames.iter().map(|h| c.request(h).expect("query")).collect();
+        assert_eq!(singles, single_engine_answers, "default server diverged from the engine");
         // Several batch sizes, including one that does not divide N.
         for size in [1usize, 7, 64, hostnames.len()] {
             let mut batched = Vec::with_capacity(hostnames.len());
             for chunk in hostnames.chunks(size) {
                 batched.extend(c.batch(chunk).expect("batch"));
             }
-            assert_eq!(batched, singles, "engine backend, batch size {size}");
+            assert_eq!(batched, singles, "default server, batch size {size}");
         }
-        single_engine_answers = singles;
         srv.shutdown();
     }
 
     for shards in [2u32, 4] {
         let router =
             Arc::new(ShardRouter::from_model(&model, shards, 256).expect("router"));
-        let backend = Arc::new(ClusterBackend::new(router));
-        let srv =
-            ServerHandle::start_with_backend("127.0.0.1:0", backend, 2).expect("bind");
+        let srv = ServerHandle::start("127.0.0.1:0", router, 2).expect("bind");
         let mut c = Client::connect(srv.local_addr()).expect("connect");
         let singles: Vec<String> =
             hostnames.iter().map(|h| c.request(h).expect("query")).collect();

@@ -17,15 +17,13 @@
 //! * dumps round-trip: the `TRACES` JSONL reparses, and converts to
 //!   non-empty Chrome trace JSON and collapsed flamegraph stacks.
 
-use hoiho_repro::cluster::{plan, ClusterBackend, ShardRouter};
 use hoiho_repro::hoiho::classify::NcClass;
 use hoiho_repro::hoiho::regex::Regex;
 use hoiho_repro::hoiho::taxonomy::Taxonomy;
 use hoiho_repro::obs::span::{self, detail, trace_id_for, Layer, ReqSpan, NO_PARENT, NO_SHARD};
-use hoiho_repro::obs::Obs;
 use hoiho_repro::serve::model::{EvalCounts, Model, ModelEntry};
 use hoiho_repro::serve::server::Client;
-use hoiho_repro::serve::ServerHandle;
+use hoiho_repro::serve::{plan, ServerHandle, ShardRouter};
 use std::sync::Arc;
 
 const SEED: u64 = 0xDECAF;
@@ -68,14 +66,9 @@ fn model() -> Model {
 /// Starts a fresh sharded server with every-request sampling under
 /// `SEED`, runs `SCRIPT`, and returns the parsed `TRACES` dump.
 fn run_script() -> Vec<ReqSpan> {
-    let obs = Arc::new(Obs::new());
-    obs.sampler().configure(1, SEED);
-    let router = Arc::new(
-        ShardRouter::from_model_obs(&model(), SHARDS, 64, Arc::clone(&obs)).expect("router"),
-    );
-    let backend = Arc::new(ClusterBackend::new(router));
-    let srv =
-        ServerHandle::start_with_backend_obs("127.0.0.1:0", backend, 1, obs).expect("bind");
+    let router = Arc::new(ShardRouter::from_model(&model(), SHARDS, 64).expect("router"));
+    router.obs().sampler().configure(1, SEED);
+    let srv = ServerHandle::start("127.0.0.1:0", router, 1).expect("bind");
     let mut client = Client::connect(srv.local_addr()).expect("connect");
     for host in SCRIPT {
         let resp = client.request(host).expect("query");
